@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import __version__
@@ -23,10 +22,11 @@ from .design import DesignSchedule, NoReplication, build_design
 from .estimators import TrivialPermutation
 from .permutations import alpha as mixing_alpha
 from .permutations import is_trivial, noise_conservation_gap
-from .reml import AllStartsFailed, SizeGuard, reml_estimate
+from .reml import AllStartsFailed, SizeGuard
 from .sweeps import (
     SweepConfig,
     emit_sweep_table,
+    parse_fields,
     run_block_sweep,
     run_reml_comparison,
     run_timeseries_sweep,
@@ -58,33 +58,23 @@ def _emit(args, lines) -> None:
 
 
 def cmd_estimate(args) -> int:
-    design, series = sio.read_dataset(args.input)
     methods = [m.strip() for m in args.estimators.split(",") if m.strip()]
+    for method in methods:
+        est.check_estimator(method)
+    design, series = sio.read_dataset(args.input)
     perm = sio.parse_permutation(args.permutation, design, seed=args.seed)
 
     def run_series(s):
         rows = []
         for method in methods:
             try:
-                if method == "shuffle":
-                    e = est.shuffle_estimate(s, design, perm)
-                elif method == "mom":
-                    e = est.mom_estimate(s, design)
-                elif method.startswith("reml"):
-                    family = method.split(":", 1)[1] if ":" in method else "exp_nugget"
-                    _, e = reml_estimate(s, design, family=family, seed=args.seed)
-                else:
-                    raise SystemExit(f"unknown estimator {method!r}")
+                e = est.run_estimator(method, s, design, perm, seed=args.seed)
                 rows.append(sio.estimate_row(s.series_id, e))
             except (TrivialPermutation, NoReplication, SizeGuard, AllStartsFailed) as exc:
                 rows.append(sio.error_row(s.series_id, method, type(exc).__name__))
         return rows
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            per_series = list(pool.map(run_series, series))
-    else:
-        per_series = [run_series(s) for s in series]
+    per_series = est.ordered_map(run_series, series, args.threads)
 
     config_lines = [
         f"shufflevar {__version__} estimate",
@@ -159,46 +149,23 @@ def _sweep_config_from_ini(path) -> tuple:
     with open(path) as fh:
         parser.read_file(fh)
     sec = parser["sweep"]
-    kind = sec.get("kind", "block")
-    kwargs = {}
-    for key in ("m", "n", "n_blocks", "replicates", "seed", "threads",
-                "reml_starts", "reml_max_evals"):
-        if key in sec:
-            kwargs[key] = sec.getint(key)
-    for key in ("sigma2_block", "sigma2_unit", "lam1", "lam2", "sigma2_eps",
-                "reml_xatol"):
-        if key in sec:
-            kwargs[key] = sec.getfloat(key)
-    if "sigma2_A_grid" in sec:
-        kwargs["sigma2_A_grid"] = tuple(
-            float(v) for v in sec["sigma2_A_grid"].split(",")
-        )
-    if "estimators" in sec:
-        kwargs["estimators"] = tuple(
-            v.strip() for v in sec["estimators"].split(",")
-        )
-    if "reml_family" in sec:
-        kwargs["reml_family"] = sec["reml_family"]
-    return kind, kwargs
+    return sec.get("kind", "block"), parse_fields(SweepConfig, sec)
 
 
 def cmd_simulate(args) -> int:
     if args.config:
         kind, kwargs = _sweep_config_from_ini(args.config)
     elif args.preset:
-        preset = dict(_PRESETS[args.preset])
-        kind = preset.pop("kind")
-        kwargs = preset
+        kwargs = dict(_PRESETS[args.preset])
+        kind = kwargs.pop("kind")
     else:
         raise SystemExit("either --config or --preset is required")
     cfg = SweepConfig(**kwargs)
-    overrides = {}
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    overrides = {
+        key: getattr(args, key)
+        for key in ("replicates", "seed", "threads")
+        if getattr(args, key) is not None
+    }
     if overrides:
         cfg = replace(cfg, **overrides)
 

@@ -16,8 +16,9 @@ while the noise level uses the raw value so the decomposition stays exact.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .design import DesignSchedule, ms_between, ms_within
 from .permutations import PermutationSpec
 
 TRIVIALITY_TOL = 1e-12
+# Noise families REML can fit, and the names :func:`run_estimator` accepts.
+REML_FAMILIES = ("iid", "exp_nugget", "ar")
+ESTIMATOR_NAMES = ("shuffle", "mom", "reml") + tuple(f"reml:{f}" for f in REML_FAMILIES)
 
 
 class TrivialPermutation(ValueError):
@@ -134,6 +138,42 @@ def average_shuffle(
     raw = float(np.mean([e.sigma2_A_raw for e in parts]))
     mean_alpha = float(np.mean([e.alpha for e in parts]))
     return _finish("shuffle_avg", raw, parts[0].total, alpha=mean_alpha)
+
+
+def check_estimator(name: str) -> None:
+    """Raise ValueError unless ``name`` is one of :data:`ESTIMATOR_NAMES`."""
+    if name not in ESTIMATOR_NAMES:
+        raise ValueError(f"unknown estimator {name!r}")
+
+
+def run_estimator(
+    name: str, y, design: DesignSchedule, perm: PermutationSpec, **reml_options
+) -> VarianceEstimate:
+    """Run the estimator called ``name`` (see :func:`check_estimator`) on one series.
+
+    ``reml_options`` are passed to :func:`shufflevar.reml.reml_estimate`;
+    ``reml:<family>`` overrides their ``family``, and plain ``reml`` fits
+    ``reml_options["family"]`` or REML's default family.
+    """
+    check_estimator(name)
+    if name == "shuffle":
+        return shuffle_estimate(y, design, perm)
+    if name == "mom":
+        return mom_estimate(y, design)
+    from . import reml  # at call time: reml imports this module
+
+    family = name.partition(":")[2]
+    if family:
+        reml_options["family"] = family
+    return reml.reml_estimate(y, design, **reml_options)[1]
+
+
+def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
+    """``[fn(x) for x in items]``, on ``threads`` worker threads when above one."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def consistency_diagnostic(Sigma: np.ndarray, m: int, n: int) -> float:

@@ -115,21 +115,25 @@ def apply(perm: PermutationSpec, y):
     return vals[perm.mapping]
 
 
+def _joint_counts(design: DesignSchedule, perm: PermutationSpec) -> np.ndarray:
+    """Slot counts of each (stimulus, stimulus after the shuffle) pair."""
+    if perm.T != design.T:
+        raise ValueError("permutation size does not match design")
+    h = design.stimulus_index
+    return np.bincount(h * design.m + h[perm.mapping], minlength=design.m**2)
+
+
 def is_trivial(perm: PermutationSpec, design: DesignSchedule) -> bool:
     """True iff the shuffle merely relabels treatments.
 
     A trivial permutation sends all repeats of each stimulus onto repeats
     of a single (possibly different) stimulus, so the between-treatment
-    contrast is unchanged.
+    contrast is unchanged.  A stimulus's n slots, counted by shuffled
+    stimulus, have squares summing to n^2 exactly when all land on one;
+    so the test is the integer identity sum(counts^2) == m n^2.
     """
-    if perm.T != design.T:
-        raise ValueError("permutation size does not match design")
-    h = design.stimulus_index
-    shuffled = h[perm.mapping]
-    for slots in design.stimulus_groups():
-        if not np.all(shuffled[slots] == shuffled[slots[0]]):
-            return False
-    return True
+    counts = _joint_counts(design, perm)
+    return int(np.sum(counts**2)) == design.m * design.n**2
 
 
 def alpha(design: DesignSchedule, perm: PermutationSpec) -> float:
@@ -139,11 +143,7 @@ def alpha(design: DesignSchedule, perm: PermutationSpec) -> float:
     in O(T) by counting slot pairs that share a stimulus both before and
     after the shuffle; :func:`alpha_dense` is the dense-trace cross-check.
     """
-    if perm.T != design.T:
-        raise ValueError("permutation size does not match design")
-    h = design.stimulus_index
-    joint = h * design.m + h[perm.mapping]
-    counts = np.bincount(joint, minlength=design.m**2)
+    counts = _joint_counts(design, perm)
     n_joint = float(np.sum(counts.astype(float) ** 2))
     return (n_joint / design.n**2 - 1.0) / (design.m - 1)
 

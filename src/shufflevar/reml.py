@@ -14,8 +14,8 @@ search over the variance ratio and the correlation parameters:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cholesky as sp_cholesky
@@ -23,8 +23,8 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .design import DesignSchedule, ms_between
-from .estimators import VarianceEstimate, _finish
-from .noise import CovarianceModel, NonStationary, cov_ar, cov_exp_nugget, noise_level
+from .estimators import REML_FAMILIES, VarianceEstimate, _finish
+from .noise import CovarianceModel, NonStationary, noise_level
 
 DEFAULT_SIZE_GUARD = 4096
 _BIG = 1e12
@@ -62,52 +62,43 @@ def _logit(p: float) -> float:
 
 
 class _RemlProblem:
-    """Caches design quantities and evaluates the profiled REML objective."""
+    """Caches design quantities and evaluates the profiled REML objective.
 
-    def __init__(self, y: np.ndarray, design: DesignSchedule, family: str):
+    A point ``x`` is ``(log gamma, transformed correlation parameters)``
+    with ``gamma = sigma2_A / sigma2_eps``.
+    """
+
+    def __init__(self, y: np.ndarray, design: DesignSchedule, family: str, ar_order: int):
         self.y = y
         self.design = design
         self.family = family
+        self.ar_order = ar_order
         self.T = design.T
         # XX' = n * B; kept dense, the size guard bounds T.
         self.xxt = design.n * design.averaging_matrix()
         # Right-hand sides [y, 1] solved together against the factor.
         self.rhs = np.column_stack([y, np.ones(self.T)])
 
-    def correlation(self, theta: Sequence[float]) -> Optional[np.ndarray]:
-        if self.family == "iid":
-            return np.eye(self.T)
+    def model(self, theta: Sequence[float]) -> CovarianceModel:
+        """Noise correlation at transformed parameters ``theta``."""
         if self.family == "exp_nugget":
-            lam1 = _sigmoid(theta[0])
-            lam2 = math.exp(theta[1])
-            return cov_exp_nugget(self.T, lam1, lam2)
-        if self.family == "ar":
-            try:
-                return cov_ar(self.T, list(theta))
-            except NonStationary:
-                return None
-        raise ValueError(f"unsupported REML family {self.family!r}")
+            return CovarianceModel.exp_nugget(_sigmoid(theta[0]), math.exp(theta[1]))
+        return CovarianceModel(self.family, tuple(float(v) for v in theta))
 
-    def objective(self, x: np.ndarray) -> float:
-        """-2 * profiled restricted log-likelihood, up to an additive constant."""
+    def profile(self, x: np.ndarray):
+        """Factor V = Sigma(theta) + gamma XX' and profile out sigma2_eps.
+
+        Returns ``(gamma, model, Sigma, quad, logdet, s_11)``, or None where
+        the objective is infinite (non-stationary AR, V not positive
+        definite, or a non-positive residual quadratic form).
+        """
         gamma = math.exp(min(x[0], 40.0))
-        Sigma = self.correlation(x[1:])
-        if Sigma is None:
-            return _BIG
+        model = self.model(x[1:])
+        try:
+            Sigma = model.materialize(self.design)
+        except NonStationary:
+            return None
         V = Sigma + gamma * self.xxt
-        parts = self._factor_stats(V)
-        if parts is None:
-            return _BIG
-        logdet, s_yy, s_y1, s_11 = parts
-        if s_11 <= 0:
-            return _BIG
-        quad = s_yy - s_y1**2 / s_11
-        if not np.isfinite(quad) or quad <= 0:
-            return _BIG
-        return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
-
-    def _factor_stats(self, V: np.ndarray):
-        """Cholesky-based sufficient statistics of the scaled covariance."""
         try:
             L = sp_cholesky(V, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -115,26 +106,21 @@ class _RemlProblem:
         W = solve_triangular(L, self.rhs, lower=True, check_finite=False)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         s = W.T @ W
-        return logdet, float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
-
-    def unpack(self, x: np.ndarray):
-        gamma = math.exp(min(x[0], 40.0))
-        Sigma = self.correlation(x[1:])
-        V = Sigma + gamma * self.xxt
-        logdet, s_yy, s_y1, s_11 = self._factor_stats(V)
+        s_yy, s_y1, s_11 = float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
+        if s_11 <= 0:
+            return None
         quad = s_yy - s_y1**2 / s_11
-        sigma2_eps = quad / (self.T - 1)
-        sigma2_A = gamma * sigma2_eps
-        loglik = -0.5 * (
-            (self.T - 1) * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
-            + logdet
-            + math.log(s_11)
-        )
-        if self.family == "exp_nugget":
-            theta = (_sigmoid(x[1]), math.exp(x[2]))
-        else:
-            theta = tuple(float(v) for v in x[1:])
-        return sigma2_A, sigma2_eps, theta, loglik
+        if not np.isfinite(quad) or quad <= 0:
+            return None
+        return gamma, model, Sigma, quad, logdet, s_11
+
+    def objective(self, x: np.ndarray) -> float:
+        """-2 * profiled restricted log-likelihood, up to an additive constant."""
+        parts = self.profile(x)
+        if parts is None:
+            return _BIG
+        _, _, _, quad, logdet, s_11 = parts
+        return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
 
 
 def _initial_points(problem: _RemlProblem, y, design, rng, n_starts):
@@ -148,7 +134,7 @@ def _initial_points(problem: _RemlProblem, y, design, rng, n_starts):
         base = [base_gamma, _logit(0.5), math.log(10.0)]
         jitter_scale = [1.0, 1.5, 1.0]
     else:  # ar
-        p = len(problem.family_theta0)
+        p = problem.ar_order
         base = [base_gamma] + [0.0] * p
         jitter_scale = [1.0] + [0.3] * p
     points = [np.asarray(base, dtype=float)]
@@ -188,7 +174,7 @@ def reml_estimate(
         if family.family == "ar":
             ar_order = max(len(family.params), 1)
         family = family.family
-    if family not in ("iid", "exp_nugget", "ar"):
+    if family not in REML_FAMILIES:
         raise ValueError(f"unsupported REML family {family!r}")
     if design.T > size_guard:
         raise SizeGuard(
@@ -198,15 +184,13 @@ def reml_estimate(
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
 
     vals = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
-    problem = _RemlProblem(vals, design, family)
-    if family == "ar":
-        problem.family_theta0 = [0.0] * ar_order
+    problem = _RemlProblem(vals, design, family, ar_order)
     rng = np.random.default_rng(seed)
     starts = _initial_points(problem, vals, design, rng, n_starts)
 
     best = None
     total_evals = 0
-    for idx, x0 in enumerate(starts):
+    for x0 in starts:
         res = minimize(
             problem.objective,
             x0,
@@ -219,27 +203,32 @@ def reml_estimate(
             },
         )
         total_evals += res.nfev
-        if not np.isfinite(res.fun) or res.fun >= _BIG:
-            continue
-        if best is None or res.fun < best[0]:
-            best = (res.fun, idx, res)
+        finite = np.isfinite(res.fun) and res.fun < _BIG
+        if finite and (best is None or res.fun < best.fun):
+            best = res
     if best is None:
         raise AllStartsFailed("no start produced a finite restricted likelihood")
 
-    _, _, res = best
-    sigma2_A, sigma2_eps, theta, loglik = problem.unpack(res.x)
+    # The winning vertex had a finite objective, so it profiles.
+    gamma, model, Sigma_hat, quad, logdet, s_11 = problem.profile(best.x)
+    sigma2_eps = quad / (problem.T - 1)
+    sigma2_A = gamma * sigma2_eps
+    loglik = -0.5 * (
+        (problem.T - 1) * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
+        + logdet
+        + math.log(s_11)
+    )
     fit = RemlFit(
         sigma2_A=sigma2_A,
         sigma2_eps=sigma2_eps,
-        theta=theta,
+        theta=model.params,
         family=family,
         log_restricted_likelihood=loglik,
-        converged=bool(res.success),
+        converged=bool(best.success),
         iterations=total_evals,
         n_starts=n_starts,
     )
 
-    Sigma_hat = problem.correlation(res.x[1:])
     level = noise_level(Sigma_hat, design, sigma2_eps)
     total = ms_between(vals, design)
     flags = () if fit.converged else ("non_converged",)
@@ -247,15 +236,4 @@ def reml_estimate(
         f"reml:{family}", sigma2_A, total, extra_flags=flags
     )
     # Report the model-based noise level instead of the residual total - raw.
-    estimate = VarianceEstimate(
-        method=estimate.method,
-        sigma2_A_raw=estimate.sigma2_A_raw,
-        sigma2_A=estimate.sigma2_A,
-        noise_level=level,
-        total=estimate.total,
-        omega2=estimate.omega2,
-        alpha=None,
-        f_stat=None,
-        flags=estimate.flags,
-    )
-    return fit, estimate
+    return fit, replace(estimate, noise_level=level)

@@ -10,9 +10,10 @@ any worker count.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .noise import (
     substream,
 )
 from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
-from .reml import AllStartsFailed, reml_estimate
+from .reml import AllStartsFailed
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
@@ -151,64 +152,44 @@ def _run_grid(
     sampler: Callable,
 ) -> SweepResult:
     """Shared grid/replicate loop.  ``sampler(gi, r, s2A)`` returns Y values."""
-    a = alpha(design, perm) if perm is not None else float("nan")
     names = tuple(cfg.estimators)
+    for name in names:
+        est.check_estimator(name)
+    a = alpha(design, perm) if perm is not None else float("nan")
+    reml_options = dict(
+        family=cfg.reml_family,
+        n_starts=cfg.reml_starts,
+        max_evals=cfg.reml_max_evals,
+        xatol=cfg.reml_xatol,
+    )
 
-    def one_replicate(gi: int, r: int, s2A: float):
+    def one_replicate(gi: int, s2A: float, r: int):
         y = sampler(gi, r, s2A)
         out = {}
         for name in names:
-            if name == "shuffle":
-                out[name] = est.shuffle_estimate(y, design, perm)
-            elif name == "mom":
-                out[name] = est.mom_estimate(y, design)
-            elif name.startswith("reml"):
-                try:
-                    _, e = reml_estimate(
-                        y,
-                        design,
-                        family=cfg.reml_family,
-                        n_starts=cfg.reml_starts,
-                        max_evals=cfg.reml_max_evals,
-                        xatol=cfg.reml_xatol,
-                        seed=r,
-                    )
-                    out[name] = e
-                except AllStartsFailed:
-                    out[name] = None
-            else:
-                raise ValueError(f"unknown estimator {name!r}")
+            try:
+                out[name] = est.run_estimator(
+                    name, y, design, perm, seed=r, **reml_options
+                )
+            except AllStartsFailed:
+                out[name] = None
         return out
 
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        results = [None] * cfg.replicates
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = {
-                    pool.submit(one_replicate, gi, r, s2A): r
-                    for r in range(cfg.replicates)
-                }
-                for fut, r in futures.items():
-                    results[r] = fut.result()
-        else:
-            for r in range(cfg.replicates):
-                results[r] = one_replicate(gi, r, s2A)
-
+        results = est.ordered_map(
+            partial(one_replicate, gi, s2A), range(cfg.replicates), cfg.threads
+        )
         truth = make_truth(s2A, level)
         for name in names:
-            raws, omegas, n_fail = [], [], 0
-            for res in results:
-                e = res[name]
-                if e is None or "non_converged" in e.flags:
-                    n_fail += 1
-                if e is not None:
-                    raws.append(e.sigma2_A_raw)
-                    omegas.append(e.omega2)
+            fits = [res[name] for res in results]
+            used = [e for e in fits if e is not None]
+            n_fail = sum(e is None or "non_converged" in e.flags for e in fits)
             rows.append(
                 _summarize(
-                    s2A, name, raws, omegas, truth.omega2, n_fail,
-                    cfg.replicates, a if name.startswith("shuffle") else float("nan"),
+                    s2A, name, [e.sigma2_A_raw for e in used], [e.omega2 for e in used],
+                    truth.omega2, n_fail, cfg.replicates,
+                    a if name.startswith("shuffle") else float("nan"),
                 )
             )
     return SweepResult(rows=tuple(rows), config=cfg)
@@ -354,70 +335,43 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
     )
 
 
-SWEEP_COLUMNS = (
-    "sigma2_A_true",
-    "estimator",
-    "mean_sigma2_A",
-    "bias",
-    "sd",
-    "q25",
-    "q75",
-    "mean_omega2",
-    "omega2_true",
-    "n_fail",
-    "n_reps",
-    "alpha_realized",
-)
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+def parse_fields(cls, record) -> dict:
+    """Parse the text values in ``record`` that name fields of dataclass ``cls``.
+
+    Each value is converted to its field's annotated type; a
+    ``Tuple[X, ...]`` field is a comma-separated list of ``X``.
+    """
+    types = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name not in record:
+            continue
+        tp, text = types[f.name], record[f.name]
+        if get_origin(tp) is tuple:
+            out[f.name] = tuple(get_args(tp)[0](v.strip()) for v in text.split(","))
+        else:
+            out[f.name] = tp(text)
+    return out
 
 
 def emit_sweep_table(result: SweepResult, path) -> None:
     """Write one CSV row per (grid point, estimator)."""
+    types = get_type_hints(SweepRow)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in result.rows:
             writer.writerow(
-                [
-                    _fmt(row.sigma2_A_true),
-                    row.estimator,
-                    _fmt(row.mean_sigma2_A),
-                    _fmt(row.bias),
-                    _fmt(row.sd),
-                    _fmt(row.q25),
-                    _fmt(row.q75),
-                    _fmt(row.mean_omega2),
-                    _fmt(row.omega2_true),
-                    row.n_fail,
-                    row.n_reps,
-                    _fmt(row.alpha_realized),
-                ]
+                f"{getattr(row, c):.17g}" if types[c] is float else getattr(row, c)
+                for c in SWEEP_COLUMNS
             )
 
 
 def read_sweep_table(path) -> Tuple[SweepRow, ...]:
     """Parse a sweep CSV back into rows (round-trip check)."""
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                SweepRow(
-                    sigma2_A_true=float(rec["sigma2_A_true"]),
-                    estimator=rec["estimator"],
-                    mean_sigma2_A=float(rec["mean_sigma2_A"]),
-                    bias=float(rec["bias"]),
-                    sd=float(rec["sd"]),
-                    q25=float(rec["q25"]),
-                    q75=float(rec["q75"]),
-                    mean_omega2=float(rec["mean_omega2"]),
-                    omega2_true=float(rec["omega2_true"]),
-                    n_fail=int(rec["n_fail"]),
-                    n_reps=int(rec["n_reps"]),
-                    alpha_realized=float(rec["alpha_realized"]),
-                )
-            )
-    return tuple(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+        records = list(csv.DictReader(fh))
+    return tuple(SweepRow(**parse_fields(SweepRow, rec)) for rec in records)

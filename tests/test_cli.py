@@ -1,13 +1,14 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from shufflevar import MeasurementSeries, build_design, mom_estimate, shuffle_estimate
-from shufflevar.cli import main
+from shufflevar.cli import _sweep_config_from_ini, main
 from shufflevar.io import write_dataset
 from shufflevar.permutations import reverse_perm
-from shufflevar.sweeps import read_sweep_table
+from shufflevar.sweeps import SweepConfig, read_sweep_table
 
 SCHED = ["a", "a", "b", "b", "a", "b"]
 
@@ -99,6 +100,17 @@ class TestEstimate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_estimator_exits_before_any_work(self, dataset, tmp_path, capsys):
+        path, _, _ = dataset
+        out = tmp_path / "est.csv"
+        rc = main(
+            ["estimate", "-i", str(path), "--estimators", "shuffle,bogus",
+             "-o", str(out)]
+        )
+        assert rc == 1
+        assert "error: unknown estimator 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAlpha:
     def test_schedule_report(self, tmp_path):
@@ -176,6 +188,46 @@ class TestSimulate:
     def test_requires_preset_or_config(self):
         with pytest.raises(SystemExit):
             main(["simulate"])
+
+    def test_every_config_key(self, tmp_path):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(
+            "[sweep]\n"
+            "kind = reml\n"
+            "m = 12\nn = 4\nn_blocks = 3\n"
+            "sigma2_A_grid = 0.1, 0.3\n"
+            "replicates = 7\nseed = 11\nthreads = 2\n"
+            "estimators = shuffle, reml:ar\n"
+            "sigma2_block = 0.25\nsigma2_unit = 0.5\n"
+            "lam1 = 0.3\nlam2 = 12.5\nsigma2_eps = 2\n"
+            "reml_family = iid\nreml_starts = 2\n"
+            "reml_max_evals = 150\nreml_xatol = 1e-5\n"
+        )
+        expected = SweepConfig(
+            m=12, n=4, n_blocks=3, sigma2_A_grid=(0.1, 0.3), replicates=7,
+            seed=11, threads=2, estimators=("shuffle", "reml:ar"),
+            sigma2_block=0.25, sigma2_unit=0.5, lam1=0.3, lam2=12.5,
+            sigma2_eps=2.0, reml_family="iid", reml_starts=2,
+            reml_max_evals=150, reml_xatol=1e-5,
+        )
+        default = SweepConfig()
+        assert len(fields(SweepConfig)) == 17
+        assert all(
+            getattr(expected, f.name) != getattr(default, f.name)
+            for f in fields(SweepConfig)
+        )
+        kind, kwargs = _sweep_config_from_ini(ini)
+        assert kind == "reml"
+        assert SweepConfig(**kwargs) == expected
+
+        def types(value):
+            if isinstance(value, tuple):
+                return tuple(type(v) for v in value)
+            return type(value)
+
+        assert {k: types(v) for k, v in kwargs.items()} == {
+            f.name: types(getattr(expected, f.name)) for f in fields(SweepConfig)
+        }
 
     def test_matches_library_result(self, tmp_path):
         from shufflevar.sweeps import SweepConfig, run_timeseries_sweep

@@ -105,6 +105,21 @@ class TestRemlComparison:
         assert [r.estimator for r in res.rows] == ["shuffle", "reml"]
         assert all(r.n_reps == 3 for r in res.rows)
 
+    def test_named_family_is_fitted(self):
+        from dataclasses import astuple, replace
+
+        cfg = replace(SMALL_TS, replicates=3, reml_starts=1, reml_max_evals=300)
+        named = run_timeseries_sweep(replace(cfg, estimators=("reml:iid",)))
+        plain = run_timeseries_sweep(
+            replace(cfg, estimators=("reml",), reml_family="iid")
+        )
+        assert [r.estimator for r in named.rows] == ["reml:iid"] * 2
+        # equal apart from the estimator name; NaN cells compare equal here
+        np.testing.assert_equal(
+            [astuple(replace(r, estimator="reml")) for r in named.rows],
+            [astuple(r) for r in plain.rows],
+        )
+
 
 class TestTableRoundTrip:
     def test_emit_and_read(self, tmp_path):
