@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import __version__
 from . import estimators as est
@@ -144,12 +144,29 @@ _PRESETS = {
 }
 
 
+def _runners() -> dict:
+    """Sweep runner per ``kind``, read from the module at call time."""
+    return {
+        "block": run_block_sweep,
+        "timeseries": run_timeseries_sweep,
+        "reml": run_reml_comparison,
+    }
+
+
 def _sweep_config_from_ini(path) -> tuple:
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
     sec = parser["sweep"]
-    return sec.get("kind", "block"), parse_fields(SweepConfig, sec)
+    names = ("kind", *(f.name for f in fields(SweepConfig)))
+    known = {parser.optionxform(name) for name in names}
+    for key in sec:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in [sweep]")
+    kind = sec.get("kind", "block")
+    if kind not in _runners():
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    return kind, parse_fields(SweepConfig, sec)
 
 
 def cmd_simulate(args) -> int:
@@ -169,12 +186,7 @@ def cmd_simulate(args) -> int:
     if overrides:
         cfg = replace(cfg, **overrides)
 
-    runner = {
-        "block": run_block_sweep,
-        "timeseries": run_timeseries_sweep,
-        "reml": run_reml_comparison,
-    }[kind]
-    result = runner(cfg)
+    result = _runners()[kind](cfg)
     emit_sweep_table(result, args.output or "/dev/stdout")
     return 0
 

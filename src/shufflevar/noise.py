@@ -12,11 +12,12 @@ Supported families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_factor, cho_solve, lapack, toeplitz
 
 from .design import DesignSchedule, MeasurementSeries, MissingBlocks
 from .permutations import contrast_trace
@@ -139,6 +140,124 @@ class CovarianceModel:
         if self.family == "ar":
             return cov_ar(design.T, self.params)
         raise ValueError(f"unknown covariance family {self.family!r}")
+
+    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float]:
+        """``(Sigma^-1 B, log det Sigma)`` for a T x k ``B``, in O(T k).
+
+        Sigma is never formed: ``iid`` returns ``(B, 0)``, and ``exp_nugget``
+        and ``ar`` have banded precision matrices (see
+        :func:`_exp_nugget_precision_solve` and :func:`_ar_precision_solve`).
+
+        Raises :class:`NonStationary` for non-stationary AR coefficients,
+        ``np.linalg.LinAlgError`` where a factor is not positive definite,
+        and ``ValueError`` for ``block``, whose covariance needs the design.
+        """
+        B = np.asarray(B, dtype=float)
+        if self.family == "iid":
+            return B, 0.0
+        if self.family == "exp_nugget":
+            return _exp_nugget_precision_solve(B, *self.params)
+        if self.family == "ar":
+            return _ar_precision_solve(B, self.params)
+        raise ValueError(f"no structured precision for covariance family {self.family!r}")
+
+
+def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
+    """LDL' pivots of ``c L + eps I + b (e_1 e_1' + e_T e_T')``, L the path
+    Laplacian (diagonal ``[1, 2, ..., 2, 1]``, off-diagonal -1), c, eps, b >= 0.
+
+    The pivots are ``c + r_k`` with ``r_1 = eps + b`` and the subtraction-free
+    ``r_k = f(r_{k-1})``, ``f(r) = eps + c r / (c + r)``, and the last is
+    ``b + f(r_{T-1})``.  They keep full relative accuracy when eps is far
+    below c, where the rounded diagonal ``2c + eps`` has lost eps.  f is a
+    Moebius map with fixed points ``r+ = (eps + s) / 2`` and
+    ``r- = -eps c / r+``, ``s = sqrt(eps^2 + 4 eps c)``, so
+    ``w_k = (r_k - r+) / (r_k - r-)`` is geometric with ratio
+    ``(c + r-) / (c + r+)`` and the recurrence has a closed form.
+    """
+    s = math.sqrt(eps * eps + 4.0 * eps * c)
+    r_plus = 0.5 * (eps + s)
+    r_minus = -eps * c / r_plus
+    r1 = eps + b
+    ratio = (c + r_minus) / (c + r_plus)
+    w = (r1 - r_plus) / (r1 - r_minus) * ratio ** np.arange(T - 1)
+    r = r_plus + w * s / (1.0 - w)
+    pivots = c + np.append(r, 0.0)
+    pivots[-1] = eps + b + c * r[-1] / (c + r[-1])
+    return pivots
+
+
+def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
+    """Structured solve for ``Sigma = (1 - lam1) I + lam1 K``.
+
+    K is the AR(1) correlation at ``phi = exp(-1/lam2)``.  With ``u = 1 - phi``
+    and ``delta = 1 - phi^2``, ``A = delta K^-1 = phi L + u^2 I + phi u
+    (e_1 e_1' + e_T e_T')`` is tridiagonal, so with ``nu = 1 - lam1`` and
+    ``M = nu A + lam1 delta I``:
+
+        Sigma^-1 = M^-1 A = (I - lam1 delta M^-1) / nu,
+        log det Sigma = log det M - log delta.
+
+    Both forms are exact; the second is used when ``lam1 delta < nu``.  The
+    first rounds A's smallest eigenvalue (about delta / T, along the
+    constant vector) to absolute precision, which costs digits once
+    ``lam2 >> T``; the second loses about ``lam1 delta / nu`` instead.
+    """
+    T = B.shape[0]
+    u = -math.expm1(-1.0 / lam2)
+    phi = 1.0 - u
+    delta = -math.expm1(-2.0 / lam2)
+    nu = 1.0 - lam1
+    c = nu * phi
+    pivots = _tridiagonal_pivots(c, nu * u * u + lam1 * delta, c * u, T)
+    logdet = float(np.sum(np.log(pivots))) - math.log(delta)
+    if lam1 * delta < nu:
+        Y, _ = lapack.dpttrs(pivots, -c / pivots[:-1], B)
+        Y *= -lam1 * delta
+        Y += B
+        Y /= nu
+        return Y, logdet
+    dB = np.diff(B, axis=0)
+    AB = (u * u) * B
+    AB[:-1] -= phi * dB
+    AB[1:] += phi * dB
+    AB[[0, -1]] += (phi * u) * B[[0, -1]]
+    Y, _ = lapack.dpttrs(pivots, -c / pivots[:-1], AB)
+    return Y, logdet
+
+
+def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
+    """Structured solve for the stationary AR(p) correlation.
+
+    The density factors into the first p slots (correlation R, selected by
+    E) and one innovation per later slot (rows ``(-a_p, ..., -a_1, 1)`` of
+    the filter F, variance ``s2 = 1 - sum_k a_k rho_k``), so
+
+        Sigma^-1 = E' R^-1 E + F'F / s2,
+        log det Sigma = log det R + (T - p) log s2.
+    """
+    T = B.shape[0]
+    a = np.asarray(coefficients, dtype=float)
+    p = len(a)
+    rho = ar_autocorrelations(a, p + 1)
+    s2 = 1.0 - float(a @ rho[1:])
+    if not s2 > 0:
+        raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
+    head = min(p, T)
+    factor = cho_factor(toeplitz(rho[:head]), lower=True, check_finite=False)
+    out = np.zeros_like(B)
+    out[:head] = cho_solve(factor, B[:head], check_finite=False)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    if T > p:
+        FB = B[p:].copy()
+        for k in range(1, p + 1):
+            FB -= a[k - 1] * B[p - k : T - k]
+        FB /= s2
+        out[p:] += FB
+        for k in range(1, p + 1):
+            out[p - k : T - k] -= a[k - 1] * FB
+        logdet += (T - p) * math.log(s2)
+    return out, logdet
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ search over the variance ratio and the correlation parameters:
 - ``exp_nugget``:  (lam1, lam2) via logit / log transforms;
 - ``ar``:          raw coefficients, non-stationary proposals rejected with
   an infinite objective.
+
+Each evaluation is O(T m) plus an m x m Cholesky: the noise precision is
+banded (:meth:`CovarianceModel.precision_solve`) and ``XX'`` has rank m, so
+the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
+problem (the low-rank trick of FaST-LMM).  The only dense T x T matrix is the
+fitted ``Sigma`` that the reported noise level needs, once per fit.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cholesky as sp_cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .design import DesignSchedule, ms_between
@@ -31,7 +36,8 @@ _BIG = 1e12
 
 
 class SizeGuard(ValueError):
-    """Series too long for dense restricted-likelihood solves."""
+    """Series too long for the dense T x T fitted covariance behind the
+    reported noise level (the likelihood itself needs no dense matrix)."""
 
 
 class AllStartsFailed(RuntimeError):
@@ -69,15 +75,16 @@ class _RemlProblem:
     """
 
     def __init__(self, y: np.ndarray, design: DesignSchedule, family: str, ar_order: int):
-        self.y = y
-        self.design = design
         self.family = family
         self.ar_order = ar_order
-        self.T = design.T
-        # XX' = n * B; kept dense, the size guard bounds T.
-        self.xxt = design.n * design.averaging_matrix()
-        # Right-hand sides [y, 1] solved together against the factor.
-        self.rhs = np.column_stack([y, np.ones(self.T)])
+        self.T, self.m, self.n = design.T, design.m, design.n
+        # B = [X, y, 1] with X the T x m stimulus indicator.
+        # Column-major, as the banded solvers take it.
+        self.B = np.asfortranarray(
+            np.column_stack([np.eye(self.m)[design.stimulus_index], y, np.ones(self.T)])
+        )
+        # Slots sorted by stimulus: X'Z is a sum over n consecutive rows.
+        self.order = np.argsort(design.stimulus_index, kind="stable")
 
     def model(self, theta: Sequence[float]) -> CovarianceModel:
         """Noise correlation at transformed parameters ``theta``."""
@@ -86,45 +93,53 @@ class _RemlProblem:
         return CovarianceModel(self.family, tuple(float(v) for v in theta))
 
     def profile(self, x: np.ndarray):
-        """Factor V = Sigma(theta) + gamma XX' and profile out sigma2_eps.
+        """Profile out sigma2_eps at V = Sigma(theta) + gamma XX'.
 
-        Returns ``(gamma, model, Sigma, quad, logdet, s_11)``, or None where
-        the objective is infinite (non-stationary AR, V not positive
+        With ``G = B' Sigma^-1 B`` split into ``C = X' Sigma^-1 X``,
+        ``D = X' Sigma^-1 [y, 1]`` and ``E = [y, 1]' Sigma^-1 [y, 1]``, the
+        Woodbury identity and the determinant lemma give
+        ``[y, 1]' V^-1 [y, 1] = E - gamma D' H^-1 D`` and
+        ``log det V = log det Sigma + log det H`` with the m x m
+        ``H = I + gamma C``.
+
+        Returns ``(gamma, model, quad, logdet, s_11)``, or None where the
+        objective is infinite (non-stationary AR, a factor not positive
         definite, or a non-positive residual quadratic form).
         """
         gamma = math.exp(min(x[0], 40.0))
         model = self.model(x[1:])
         try:
-            Sigma = model.materialize(self.design)
-        except NonStationary:
+            Z, logdet_sigma = model.precision_solve(self.B)
+        except (NonStationary, np.linalg.LinAlgError):
             return None
-        V = Sigma + gamma * self.xxt
-        try:
-            L = sp_cholesky(V, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        m = self.m
+        XtZ = Z[self.order].reshape(m, self.n, m + 2).sum(axis=1)
+        H = gamma * XtZ[:, :m]
+        H.flat[:: m + 1] += 1.0
+        L, info = lapack.dpotrf(H, lower=1)
+        if info != 0:
             return None
-        W = solve_triangular(L, self.rhs, lower=True, check_finite=False)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        s = W.T @ W
+        W, _ = lapack.dtrtrs(L, XtZ[:, m:], lower=1)
+        s = self.B[:, m:].T @ Z[:, m:] - gamma * (W.T @ W)
+        logdet = logdet_sigma + 2.0 * float(np.sum(np.log(np.diag(L))))
         s_yy, s_y1, s_11 = float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
         if s_11 <= 0:
             return None
         quad = s_yy - s_y1**2 / s_11
         if not np.isfinite(quad) or quad <= 0:
             return None
-        return gamma, model, Sigma, quad, logdet, s_11
+        return gamma, model, quad, logdet, s_11
 
     def objective(self, x: np.ndarray) -> float:
         """-2 * profiled restricted log-likelihood, up to an additive constant."""
         parts = self.profile(x)
         if parts is None:
             return _BIG
-        _, _, _, quad, logdet, s_11 = parts
+        _, _, quad, logdet, s_11 = parts
         return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
 
 
-def _initial_points(problem: _RemlProblem, y, design, rng, n_starts):
-    msb = ms_between(y, design)
+def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
     guess = max(msb / 2.0, 1e-3)
     base_gamma = math.log(guess)
     if problem.family == "iid":
@@ -166,7 +181,8 @@ def reml_estimate(
     Raises
     ------
     SizeGuard
-        If ``design.T`` exceeds ``size_guard`` (dense solves only).
+        If ``design.T`` exceeds ``size_guard`` (the noise level
+        materializes the fitted T x T covariance).
     AllStartsFailed
         If no start yields a finite restricted likelihood.
     """
@@ -178,15 +194,16 @@ def reml_estimate(
         raise ValueError(f"unsupported REML family {family!r}")
     if design.T > size_guard:
         raise SizeGuard(
-            f"T={design.T} exceeds the dense-solve guard ({size_guard})"
+            f"T={design.T} exceeds the dense-covariance guard ({size_guard})"
         )
     if family == "ar" and not 1 <= ar_order <= 3:
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
 
     vals = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
     problem = _RemlProblem(vals, design, family, ar_order)
+    total = ms_between(vals, design)
     rng = np.random.default_rng(seed)
-    starts = _initial_points(problem, vals, design, rng, n_starts)
+    starts = _initial_points(problem, total, rng, n_starts)
 
     best = None
     total_evals = 0
@@ -210,7 +227,7 @@ def reml_estimate(
         raise AllStartsFailed("no start produced a finite restricted likelihood")
 
     # The winning vertex had a finite objective, so it profiles.
-    gamma, model, Sigma_hat, quad, logdet, s_11 = problem.profile(best.x)
+    gamma, model, quad, logdet, s_11 = problem.profile(best.x)
     sigma2_eps = quad / (problem.T - 1)
     sigma2_A = gamma * sigma2_eps
     loglik = -0.5 * (
@@ -229,8 +246,7 @@ def reml_estimate(
         n_starts=n_starts,
     )
 
-    level = noise_level(Sigma_hat, design, sigma2_eps)
-    total = ms_between(vals, design)
+    level = noise_level(model.materialize(design), design, sigma2_eps)
     flags = () if fit.converged else ("non_converged",)
     estimate = _finish(
         f"reml:{family}", sigma2_A, total, extra_flags=flags

@@ -229,6 +229,30 @@ class TestSimulate:
             f.name: types(getattr(expected, f.name)) for f in fields(SweepConfig)
         }
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("kind = timeseries\nreplicate = 2\n", "error: unknown key 'replicate' in [sweep]"),
+            ("kind = timeserie\nreplicates = 2\n", "error: unknown sweep kind 'timeserie'"),
+        ],
+    )
+    def test_bad_config_exits_before_any_sampling(
+        self, tmp_path, capsys, monkeypatch, body, message
+    ):
+        import shufflevar.cli as cli
+
+        def never(cfg):
+            raise AssertionError("a sweep ran")
+
+        for name in ("run_block_sweep", "run_timeseries_sweep", "run_reml_comparison"):
+            monkeypatch.setattr(cli, name, never)
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[sweep]\n" + body)
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_matches_library_result(self, tmp_path):
         from shufflevar.sweeps import SweepConfig, run_timeseries_sweep
 

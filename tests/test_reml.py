@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from shufflevar import (
     CovarianceModel,
@@ -8,13 +11,111 @@ from shufflevar import (
     reml_estimate,
     sample_experiment,
 )
-from shufflevar.noise import substream
+from shufflevar.noise import NonStationary, substream
+from shufflevar.reml import _BIG, _RemlProblem
 from shufflevar.sweeps import make_random_schedule
 
 
 @pytest.fixture(scope="module")
 def small_design():
     return make_random_schedule(12, 4, np.random.default_rng(0))
+
+
+def dense_gram(V, y):
+    """(logdet V, s) with s = [y, 1]' V^-1 [y, 1], from a dense Cholesky of V."""
+    L = np.linalg.cholesky(V)
+    W = solve_triangular(L, np.column_stack([y, np.ones(len(y))]), lower=True)
+    return 2.0 * float(np.sum(np.log(np.diag(L)))), W.T @ W
+
+
+def dense_objective(problem, design, y, x):
+    """The profiled REML objective from a dense T x T V = Sigma + gamma XX'.
+
+    The oracle for ``_RemlProblem.objective``: inf where Sigma is
+    non-stationary, V is not positive definite or the quadratic form is not
+    positive.
+    """
+    gamma = math.exp(min(x[0], 40.0))
+    try:
+        Sigma = problem.model(x[1:]).materialize(design)
+    except NonStationary:
+        return math.inf
+    try:
+        logdet, s = dense_gram(Sigma + gamma * design.n * design.averaging_matrix(), y)
+    except np.linalg.LinAlgError:
+        return math.inf
+    quad = s[0, 0] - s[0, 1] ** 2 / s[1, 1]
+    if not (s[1, 1] > 0 and quad > 0):
+        return math.inf
+    return (len(y) - 1) * math.log(quad) + logdet + math.log(s[1, 1])
+
+
+def dense_restricted_loglik(y, design, fit):
+    """Restricted log-likelihood of y ~ N(mu 1, V) at a fit's parameters,
+    without the constant 1/2 log T of the intercept."""
+    Sigma = CovarianceModel(fit.family, fit.theta).materialize(design)
+    V = fit.sigma2_eps * Sigma + fit.sigma2_A * design.n * design.averaging_matrix()
+    logdet, s = dense_gram(V, y)
+    quad = s[0, 0] - s[0, 1] ** 2 / s[1, 1]
+    T = len(y)
+    return -0.5 * ((T - 1) * math.log(2 * math.pi) + logdet + math.log(s[1, 1]) + quad)
+
+
+class TestStructuredObjective:
+    """The banded / Woodbury objective against the dense oracle."""
+
+    RTOL = 1e-10
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        d = make_random_schedule(24, 4, np.random.default_rng(3))
+        y, _ = sample_experiment(
+            d, 0.4, CovarianceModel.exp_nugget(0.6, 8.0), 1.0, seed=substream(50, 0)
+        )
+        return d, y.values
+
+    def _points(self, family, order, rng, count=200):
+        for _ in range(count):
+            x = [rng.uniform(-6.0, 4.0)]
+            if family == "exp_nugget":
+                lam1 = rng.uniform(1e-6, 1 - 1e-6)
+                lam2 = 10.0 ** rng.uniform(-1.0, 10.0)
+                x += [math.log(lam1 / (1 - lam1)), math.log(lam2)]
+            elif family == "ar":
+                x += list(rng.uniform(-1.2, 1.2, order))
+            yield np.array(x)
+
+    @pytest.mark.parametrize(
+        "family, order",
+        [("iid", 1), ("exp_nugget", 1), ("ar", 1), ("ar", 2), ("ar", 3)],
+    )
+    def test_matches_dense(self, data, family, order):
+        d, y = data
+        problem = _RemlProblem(y, d, family, order)
+        rng = np.random.default_rng(order)
+        n_inf = 0
+        for x in self._points(family, order, rng):
+            want = dense_objective(problem, d, y, x)
+            got = problem.objective(x)
+            if math.isinf(want):
+                assert got == _BIG, x
+                n_inf += 1
+            else:
+                assert got == pytest.approx(want, rel=self.RTOL, abs=0), x
+        if family == "ar":
+            assert n_inf > 0  # the draws reach non-stationary points
+
+    @pytest.mark.parametrize(
+        "family, order", [("iid", 1), ("exp_nugget", 1), ("ar", 2)]
+    )
+    def test_fit_loglik_matches_dense(self, data, family, order):
+        d, y = data
+        fit, _ = reml_estimate(
+            y, d, family, n_starts=2, max_evals=400, xatol=1e-5, seed=0, ar_order=order
+        )
+        assert fit.log_restricted_likelihood == pytest.approx(
+            dense_restricted_loglik(y, d, fit), rel=self.RTOL
+        )
 
 
 class TestIidEquivalence:
