@@ -2,16 +2,21 @@
 
 Each sweep draws synthetic experiments for every signal-variance grid
 point, runs the requested estimators per replicate, and aggregates per
-(grid point, estimator) summaries.  Replicates use disjoint RNG substreams
-keyed by (seed, grid index, replicate index), so results are identical for
-any worker count.
+(grid point, estimator) summaries.
+
+Replicate r of grid point gi draws from its own RNG substream keyed by
+(seed, 2, gi, r): the signal effects first, then the noise.  A grid point's
+replicates are stacked as the rows of one R x T matrix, drawn on the
+calling thread, so the time-series noise is one matrix product (a level-3
+BLAS call) with the Cholesky factor of the noise covariance rather than R
+matrix-vector products.  The estimators then run per row, on worker
+threads when asked; output is identical for every thread count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
@@ -117,9 +122,10 @@ def _summarize(
     omegas: Sequence[float],
     omega2_true: float,
     n_fail: int,
-    n_reps: int,
     alpha_realized: float,
 ) -> SweepRow:
+    """One row from the replicates that produced a usable fit; ``n_reps``
+    is their count."""
     raws = np.asarray(raws, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     mean = float(raws.mean()) if raws.size else float("nan")
@@ -139,7 +145,7 @@ def _summarize(
         mean_omega2=float(omegas.mean()) if omegas.size else float("nan"),
         omega2_true=omega2_true,
         n_fail=n_fail,
-        n_reps=n_reps,
+        n_reps=int(raws.size),
         alpha_realized=alpha_realized,
     )
 
@@ -151,7 +157,12 @@ def _run_grid(
     level: float,
     sampler: Callable,
 ) -> SweepResult:
-    """Shared grid/replicate loop.  ``sampler(gi, r, s2A)`` returns Y values."""
+    """Shared grid/replicate loop.
+
+    ``sampler(gi, s2A)`` returns grid point ``gi``'s replicates as the rows
+    of a ``(cfg.replicates, design.T)`` matrix.  A fit that fails or does
+    not converge counts in ``n_fail`` and is left out of the row's summary.
+    """
     names = tuple(cfg.estimators)
     for name in names:
         est.check_estimator(name)
@@ -163,8 +174,8 @@ def _run_grid(
         xatol=cfg.reml_xatol,
     )
 
-    def one_replicate(gi: int, s2A: float, r: int):
-        y = sampler(gi, r, s2A)
+    def one_replicate(item):
+        r, y = item
         out = {}
         for name in names:
             try:
@@ -177,18 +188,18 @@ def _run_grid(
 
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        results = est.ordered_map(
-            partial(one_replicate, gi, s2A), range(cfg.replicates), cfg.threads
-        )
+        Y = sampler(gi, s2A)
+        results = est.ordered_map(one_replicate, list(enumerate(Y)), cfg.threads)
         truth = make_truth(s2A, level)
         for name in names:
-            fits = [res[name] for res in results]
-            used = [e for e in fits if e is not None]
-            n_fail = sum(e is None or "non_converged" in e.flags for e in fits)
+            used = [
+                e for e in (res[name] for res in results)
+                if e is not None and "non_converged" not in e.flags
+            ]
             rows.append(
                 _summarize(
                     s2A, name, [e.sigma2_A_raw for e in used], [e.omega2 for e in used],
-                    truth.omega2, n_fail, cfg.replicates,
+                    truth.omega2, len(results) - len(used),
                     a if name.startswith("shuffle") else float("nan"),
                 )
             )
@@ -211,12 +222,15 @@ def run_block_sweep(cfg: SweepConfig) -> SweepResult:
     level = (design.m * (var_avg - var_global)) / (design.m - 1)
     h = design.stimulus_index
 
-    def sampler(gi, r, s2A):
-        rng = substream(cfg.seed, 2, gi, r)
-        effects = rng.normal(0.0, np.sqrt(s2A), design.m)
-        block_fx = rng.normal(0.0, np.sqrt(cfg.sigma2_block), design.n_blocks)
-        unit = rng.normal(0.0, np.sqrt(cfg.sigma2_unit), design.T)
-        return effects[h] + block_fx[blk] + unit
+    def sampler(gi, s2A):
+        Y = np.empty((cfg.replicates, design.T))
+        for r in range(cfg.replicates):
+            rng = substream(cfg.seed, 2, gi, r)
+            effects = rng.normal(0.0, np.sqrt(s2A), design.m)
+            block_fx = rng.normal(0.0, np.sqrt(cfg.sigma2_block), design.n_blocks)
+            unit = rng.normal(0.0, np.sqrt(cfg.sigma2_unit), design.T)
+            Y[r] = effects[h] + block_fx[blk] + unit
+        return Y
 
     return _run_grid(cfg, design, perm, level, sampler)
 
@@ -231,10 +245,17 @@ def run_timeseries_sweep(cfg: SweepConfig) -> SweepResult:
     chol = psd_cholesky(Sigma) * np.sqrt(cfg.sigma2_eps)
     h = design.stimulus_index
 
-    def sampler(gi, r, s2A):
-        rng = substream(cfg.seed, 2, gi, r)
-        effects = rng.normal(0.0, np.sqrt(s2A), design.m)
-        return effects[h] + chol @ rng.standard_normal(design.T)
+    def sampler(gi, s2A):
+        E = np.empty((cfg.replicates, design.m))
+        Z = np.empty((cfg.replicates, design.T))
+        for r in range(cfg.replicates):
+            rng = substream(cfg.seed, 2, gi, r)
+            E[r] = rng.normal(0.0, np.sqrt(s2A), design.m)
+            Z[r] = rng.standard_normal(design.T)
+        # Row r is chol @ Z[r], the noise of replicate r, all in one GEMM.
+        Y = Z @ chol.T
+        Y += E[:, h]
+        return Y
 
     return _run_grid(cfg, design, perm, level, sampler)
 

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from shufflevar.estimators import run_estimator
+from shufflevar.noise import CovarianceModel, psd_cholesky, substream
+from shufflevar.permutations import block_random_perm, reverse_perm
 from shufflevar.sweeps import (
     PredictionConfig,
     SweepConfig,
     emit_sweep_table,
     make_block_schedule,
+    make_random_schedule,
     read_sweep_table,
     run_block_sweep,
     run_prediction_check,
@@ -17,6 +23,31 @@ SMALL_BLOCK = SweepConfig(
     m=8, n=3, n_blocks=2, sigma2_A_grid=(0.0, 0.4), replicates=30, seed=5
 )
 SMALL_TS = SweepConfig(m=8, n=3, sigma2_A_grid=(0.0, 0.4), replicates=30, seed=5)
+SUMMARY_FIELDS = ("mean_sigma2_A", "sd", "q25", "q75", "mean_omega2")
+
+
+def per_replicate_summaries(cfg, design, perm, draw):
+    """Each (grid point, estimator) row's summary statistics, from series
+    built one replicate at a time: ``draw(rng, s2A)`` makes replicate r's
+    series from its substream (seed, 2, gi, r)."""
+    out = []
+    for gi, s2A in enumerate(cfg.sigma2_A_grid):
+        series = [
+            draw(substream(cfg.seed, 2, gi, r), s2A) for r in range(cfg.replicates)
+        ]
+        for name in cfg.estimators:
+            fits = [run_estimator(name, y, design, perm) for y in series]
+            raws = np.array([e.sigma2_A_raw for e in fits])
+            q25, q75 = np.quantile(raws, [0.25, 0.75])
+            out.append(
+                (raws.mean(), raws.std(ddof=1), q25, q75,
+                 np.mean([e.omega2 for e in fits]))
+            )
+    return out
+
+
+def summaries(result):
+    return [tuple(getattr(r, f) for f in SUMMARY_FIELDS) for r in result.rows]
 
 
 class TestConfig:
@@ -59,6 +90,22 @@ class TestBlockSweep:
         for a, b in zip(serial.rows, threaded.rows):
             assert a == b
 
+    def test_matches_per_replicate_oracle(self):
+        # The stacked rows use the per-replicate arithmetic, so exactly equal.
+        cfg = replace(SMALL_BLOCK, estimators=("shuffle", "mom"))
+        design = make_block_schedule(cfg.m, cfg.n, cfg.n_blocks, substream(cfg.seed, 0))
+        perm = block_random_perm(design, substream(cfg.seed, 1))
+        h, blk = design.stimulus_index, design.block_index
+
+        def draw(rng, s2A):
+            effects = rng.normal(0.0, np.sqrt(s2A), design.m)
+            block_fx = rng.normal(0.0, np.sqrt(cfg.sigma2_block), design.n_blocks)
+            unit = rng.normal(0.0, np.sqrt(cfg.sigma2_unit), design.T)
+            return effects[h] + block_fx[blk] + unit
+
+        expected = per_replicate_summaries(cfg, design, perm, draw)
+        assert summaries(run_block_sweep(cfg)) == expected
+
     def test_single_replicate_sd_nan(self):
         from dataclasses import replace
 
@@ -88,6 +135,28 @@ class TestTimeseriesSweep:
         with pytest.raises(ValueError):
             run_timeseries_sweep(replace(SMALL_TS, estimators=("bogus",)))
 
+    def test_deterministic_across_thread_counts(self):
+        threaded = run_timeseries_sweep(replace(SMALL_TS, threads=4))
+        assert run_timeseries_sweep(SMALL_TS).rows == threaded.rows
+
+    def test_matches_per_replicate_oracle(self):
+        # The sweep draws all of a grid point's noise in one matrix product;
+        # only the summation order differs from one mat-vec per replicate.
+        cfg = replace(SMALL_TS, estimators=("shuffle", "mom"))
+        design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
+        Sigma = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2).materialize(design)
+        chol = psd_cholesky(Sigma) * np.sqrt(cfg.sigma2_eps)
+        h = design.stimulus_index
+
+        def draw(rng, s2A):
+            effects = rng.normal(0.0, np.sqrt(s2A), design.m)
+            return effects[h] + chol @ rng.standard_normal(design.T)
+
+        expected = per_replicate_summaries(cfg, design, reverse_perm(design.T), draw)
+        np.testing.assert_allclose(
+            summaries(run_timeseries_sweep(cfg)), expected, rtol=1e-12, atol=0
+        )
+
 
 class TestRemlComparison:
     def test_appends_reml(self):
@@ -103,7 +172,8 @@ class TestRemlComparison:
         )
         res = run_reml_comparison(cfg)
         assert [r.estimator for r in res.rows] == ["shuffle", "reml"]
-        assert all(r.n_reps == 3 for r in res.rows)
+        # every replicate is either summarized or counted as failed
+        assert all(r.n_reps + r.n_fail == 3 for r in res.rows)
 
     def test_named_family_is_fitted(self):
         from dataclasses import astuple, replace
@@ -118,6 +188,21 @@ class TestRemlComparison:
         np.testing.assert_equal(
             [astuple(replace(r, estimator="reml")) for r in named.rows],
             [astuple(r) for r in plain.rows],
+        )
+
+    def test_non_converged_fits_left_out_of_summary(self):
+        # Five evaluations cannot finish an exp-nugget simplex (four points),
+        # so every fit stops on its budget and none may enter the summary.
+        cfg = replace(SMALL_TS, replicates=4, reml_starts=1, reml_max_evals=5)
+        res = run_reml_comparison(cfg)
+        reml_rows = [r for r in res.rows if r.estimator == "reml"]
+        assert len(reml_rows) == len(cfg.sigma2_A_grid)
+        for r in reml_rows:
+            assert (r.n_fail, r.n_reps) == (cfg.replicates, 0)
+            assert np.isnan(r.bias) and np.isnan(r.mean_omega2)
+        shuffle_only = run_timeseries_sweep(replace(cfg, estimators=("shuffle",)))
+        assert [r for r in res.rows if r.estimator == "shuffle"] == list(
+            shuffle_only.rows
         )
 
 
