@@ -46,7 +46,7 @@ from .permutations import (
     odd_even_swap,
     reverse_perm,
 )
-from .reml import AllStartsFailed, RemlFit, SizeGuard, reml_estimate
+from .reml import AllStartsFailed, RemlFit, reml_estimate
 from .sweeps import (
     PredictionConfig,
     SweepConfig,

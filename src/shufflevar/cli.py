@@ -22,7 +22,7 @@ from .design import DesignSchedule, NoReplication, build_design
 from .estimators import TrivialPermutation
 from .permutations import alpha as mixing_alpha
 from .permutations import is_trivial, noise_conservation_gap
-from .reml import AllStartsFailed, SizeGuard
+from .reml import AllStartsFailed
 from .sweeps import (
     SweepConfig,
     emit_sweep_table,
@@ -35,6 +35,7 @@ from .sweeps import (
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (echoed)")
+    # Accepted and echoed for compatibility; work runs on the calling thread.
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
 
@@ -64,17 +65,14 @@ def cmd_estimate(args) -> int:
     design, series = sio.read_dataset(args.input)
     perm = sio.parse_permutation(args.permutation, design, seed=args.seed)
 
-    def run_series(s):
-        rows = []
+    rows = []
+    for s in series:
         for method in methods:
             try:
                 e = est.run_estimator(method, s, design, perm, seed=args.seed)
                 rows.append(sio.estimate_row(s.series_id, e))
-            except (TrivialPermutation, NoReplication, SizeGuard, AllStartsFailed) as exc:
+            except (TrivialPermutation, NoReplication, AllStartsFailed) as exc:
                 rows.append(sio.error_row(s.series_id, method, type(exc).__name__))
-        return rows
-
-    per_series = est.ordered_map(run_series, series, args.threads)
 
     config_lines = [
         f"shufflevar {__version__} estimate",
@@ -85,7 +83,7 @@ def cmd_estimate(args) -> int:
         f"threads = {args.threads}",
     ]
     out = args.output or "/dev/stdout"
-    sio.write_estimates(out, [r for rows in per_series for r in rows], config_lines)
+    sio.write_estimates(out, rows, config_lines)
     return 0
 
 

@@ -16,9 +16,8 @@ while the noise level uses the raw value so the decomposition stays exact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from . import permutations as perms
 from .design import DesignSchedule, ms_between, ms_within
 from .permutations import PermutationSpec
 
-TRIVIALITY_TOL = 1e-12
 # Noise families REML can fit, and the names :func:`run_estimator` accepts.
 REML_FAMILIES = ("iid", "exp_nugget", "ar")
 ESTIMATOR_NAMES = ("shuffle", "mom", "reml") + tuple(f"reml:{f}" for f in REML_FAMILIES)
@@ -96,10 +94,12 @@ def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec) -> Varian
     Raises
     ------
     TrivialPermutation
-        If the mixing coefficient equals 1 within 1e-12.
+        If the permutation is trivial (:func:`~shufflevar.permutations.is_trivial`).
     """
     a = perms.alpha(design, perm)
-    if abs(1.0 - a) <= TRIVIALITY_TOL:
+    # alpha is 1.0 exactly when is_trivial's integer identity holds: the pair
+    # count over n^2 is then exactly m, else short of m by >= 1/n^2.
+    if a == 1.0:
         raise TrivialPermutation(
             f"permutation {perm.family!r} only relabels treatments (alpha=1)"
         )
@@ -166,14 +166,6 @@ def run_estimator(
     if family:
         reml_options["family"] = family
     return reml.reml_estimate(y, design, **reml_options)[1]
-
-
-def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """``[fn(x) for x in items]``, on ``threads`` worker threads when above one."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def consistency_diagnostic(Sigma: np.ndarray, m: int, n: int) -> float:

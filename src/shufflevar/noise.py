@@ -38,13 +38,7 @@ def cov_exp_nugget(T: int, lam1: float, lam2: float) -> np.ndarray:
     exactly 1.  ``lam1`` is the correlated share of the noise variance,
     ``lam2`` the decay length in time slots.
     """
-    if not 0.0 <= lam1 <= 1.0:
-        raise ValueError(f"lam1 must be in [0, 1], got {lam1}")
-    if lam2 <= 0:
-        raise ValueError(f"lam2 must be positive, got {lam2}")
-    row = lam1 * np.exp(-np.arange(T) / lam2)
-    row[0] = 1.0
-    return toeplitz(row)
+    return toeplitz(CovarianceModel.exp_nugget(lam1, lam2).autocorrelations(T))
 
 
 def cov_block(
@@ -108,7 +102,8 @@ class CovarianceModel:
     """A noise covariance family plus its parameters.
 
     Use the class methods to construct instances; :meth:`materialize`
-    produces the dense matrix for a given design.
+    produces the dense matrix for a given design, and the stationary families
+    give :meth:`autocorrelations` and :meth:`precision_solve` without one.
     """
 
     family: str
@@ -131,15 +126,31 @@ class CovarianceModel:
         return cls("ar", tuple(float(c) for c in coefficients))
 
     def materialize(self, design: DesignSchedule) -> np.ndarray:
-        if self.family == "iid":
-            return np.eye(design.T)
-        if self.family == "exp_nugget":
-            return cov_exp_nugget(design.T, *self.params)
         if self.family == "block":
             return cov_block(design, *self.params)
+        return toeplitz(self.autocorrelations(design.T))
+
+    def autocorrelations(self, T: int) -> np.ndarray:
+        """``rho_0..rho_{T-1}`` of a stationary family (iid, exp_nugget, ar).
+
+        Raises :class:`NonStationary` for non-stationary AR coefficients and
+        ``ValueError`` for ``block``, which is not stationary.
+        """
         if self.family == "ar":
-            return cov_ar(design.T, self.params)
-        raise ValueError(f"unknown covariance family {self.family!r}")
+            return ar_autocorrelations(self.params, T)
+        if self.family == "iid":
+            rho = np.zeros(T)
+        elif self.family == "exp_nugget":
+            lam1, lam2 = self.params
+            if not 0.0 <= lam1 <= 1.0:
+                raise ValueError(f"lam1 must be in [0, 1], got {lam1}")
+            if lam2 <= 0:
+                raise ValueError(f"lam2 must be positive, got {lam2}")
+            rho = lam1 * np.exp(-np.arange(T) / lam2)
+        else:
+            raise ValueError(f"unknown or non-stationary covariance family {self.family!r}")
+        rho[0] = 1.0
+        return rho
 
     def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float]:
         """``(Sigma^-1 B, log det Sigma)`` for a T x k ``B``, in O(T k).
@@ -284,6 +295,29 @@ def noise_level(Sigma: np.ndarray, design: DesignSchedule, sigma2_eps: float = 1
     )
 
 
+def stationary_noise_level(
+    model: CovarianceModel, design: DesignSchedule, sigma2_eps: float = 1.0
+) -> float:
+    """:func:`noise_level` of a stationary ``model`` in O(m n^2 + T), no T x T matrix.
+
+    With autocorrelations rho, ``tr((B - G) Sigma) = sum_k (W_k / n - c_k / T) rho_k``:
+    W_k counts ordered same-stimulus slot pairs at lag k, and ``c_0 = T``,
+    ``c_k = 2 (T - k)`` count all ordered pairs at lag k.
+    """
+    T, m, n = design.T, design.m, design.n
+    # Row i holds stimulus i's slots in ascending order.
+    slots = np.argsort(design.stimulus_index, kind="stable").reshape(m, n)
+    W = np.zeros(T, dtype=np.int64)
+    W[0] = T
+    for j in range(1, n):
+        W += 2 * np.bincount((slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
+    c = 2.0 * np.arange(T, 0, -1)
+    c[0] = T
+    rho = model.autocorrelations(T)
+    trace = float(W @ rho) / n - float(c @ rho) / T
+    return sigma2_eps * trace / ((m - 1) * n)
+
+
 def psd_cholesky(Sigma: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, retrying with growing diagonal jitter.
 
@@ -315,8 +349,8 @@ def make_truth(sigma2_A: float, noise: float) -> ExperimentTruth:
 def substream(seed, *key) -> np.random.Generator:
     """Deterministic RNG substream for (seed, key...).
 
-    Replicate workers draw from disjoint substreams, so parallel and serial
-    runs produce identical results.
+    Each replicate draws from its own substream, so its draws do not depend
+    on how many replicates ran before it.
     """
     return np.random.default_rng(np.random.SeedSequence((seed, *key)))
 

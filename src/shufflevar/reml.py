@@ -13,8 +13,9 @@ search over the variance ratio and the correlation parameters:
 Each evaluation is O(T m) plus an m x m Cholesky: the noise precision is
 banded (:meth:`CovarianceModel.precision_solve`) and ``XX'`` has rank m, so
 the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
-problem (the low-rank trick of FaST-LMM).  The only dense T x T matrix is the
-fitted ``Sigma`` that the reported noise level needs, once per fit.
+problem (the low-rank trick of FaST-LMM).  The reported noise level comes
+from the fitted autocorrelations (:func:`stationary_noise_level`), so no
+T x T matrix is formed at any point.
 """
 
 from __future__ import annotations
@@ -29,15 +30,9 @@ from scipy.optimize import minimize
 
 from .design import DesignSchedule, ms_between
 from .estimators import REML_FAMILIES, VarianceEstimate, _finish
-from .noise import CovarianceModel, NonStationary, noise_level
+from .noise import CovarianceModel, NonStationary, stationary_noise_level
 
-DEFAULT_SIZE_GUARD = 4096
 _BIG = 1e12
-
-
-class SizeGuard(ValueError):
-    """Series too long for the dense T x T fitted covariance behind the
-    reported noise level (the likelihood itself needs no dense matrix)."""
 
 
 class AllStartsFailed(RuntimeError):
@@ -163,39 +158,29 @@ def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
 def reml_estimate(
     y,
     design: DesignSchedule,
-    family="exp_nugget",
+    family: str = "exp_nugget",
     n_starts: int = 5,
     max_evals: int = 2000,
     xatol: float = 1e-8,
     seed: int = 0,
     ar_order: int = 3,
-    size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> Tuple[RemlFit, VarianceEstimate]:
     """Fit the two-component model by REML and report the decomposition.
 
     Multi-start Nelder-Mead over transformed parameters; the best
-    finite-objective vertex wins, ties broken by the lowest start index.
-    A fit that exhausts its evaluation budget is returned with
-    ``converged=False`` rather than raising.
+    finite-objective vertex wins, ties broken by the lowest start index,
+    unless it stopped on its evaluation budget and a converged start is
+    within ``xatol`` of it (at a boundary optimum they can differ by one
+    rounding).  A fit whose winning start exhausted its budget is returned
+    with ``converged=False`` rather than raising.
 
     Raises
     ------
-    SizeGuard
-        If ``design.T`` exceeds ``size_guard`` (the noise level
-        materializes the fitted T x T covariance).
     AllStartsFailed
         If no start yields a finite restricted likelihood.
     """
-    if isinstance(family, CovarianceModel):
-        if family.family == "ar":
-            ar_order = max(len(family.params), 1)
-        family = family.family
     if family not in REML_FAMILIES:
         raise ValueError(f"unsupported REML family {family!r}")
-    if design.T > size_guard:
-        raise SizeGuard(
-            f"T={design.T} exceeds the dense-covariance guard ({size_guard})"
-        )
     if family == "ar" and not 1 <= ar_order <= 3:
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
 
@@ -205,7 +190,7 @@ def reml_estimate(
     rng = np.random.default_rng(seed)
     starts = _initial_points(problem, total, rng, n_starts)
 
-    best = None
+    finite = []
     total_evals = 0
     for x0 in starts:
         res = minimize(
@@ -220,11 +205,14 @@ def reml_estimate(
             },
         )
         total_evals += res.nfev
-        finite = np.isfinite(res.fun) and res.fun < _BIG
-        if finite and (best is None or res.fun < best.fun):
-            best = res
-    if best is None:
+        if np.isfinite(res.fun) and res.fun < _BIG:
+            finite.append(res)
+    if not finite:
         raise AllStartsFailed("no start produced a finite restricted likelihood")
+    best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
+    if not best.success:
+        near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
+        best = min(near, key=lambda r: r.fun, default=best)
 
     # The winning vertex had a finite objective, so it profiles.
     gamma, model, quad, logdet, s_11 = problem.profile(best.x)
@@ -246,10 +234,10 @@ def reml_estimate(
         n_starts=n_starts,
     )
 
-    level = noise_level(model.materialize(design), design, sigma2_eps)
     flags = () if fit.converged else ("non_converged",)
     estimate = _finish(
         f"reml:{family}", sigma2_A, total, extra_flags=flags
     )
     # Report the model-based noise level instead of the residual total - raw.
+    level = stationary_noise_level(model, design, sigma2_eps)
     return fit, replace(estimate, noise_level=level)

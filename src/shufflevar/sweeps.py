@@ -6,11 +6,11 @@ point, runs the requested estimators per replicate, and aggregates per
 
 Replicate r of grid point gi draws from its own RNG substream keyed by
 (seed, 2, gi, r): the signal effects first, then the noise.  A grid point's
-replicates are stacked as the rows of one R x T matrix, drawn on the
-calling thread, so the time-series noise is one matrix product (a level-3
-BLAS call) with the Cholesky factor of the noise covariance rather than R
-matrix-vector products.  The estimators then run per row, on worker
-threads when asked; output is identical for every thread count.
+replicates are stacked as the rows of one R x T matrix, so the time-series
+noise is one matrix product (a level-3 BLAS call) with the Cholesky factor
+of the noise covariance rather than R matrix-vector products.  The
+estimators then run per row.  Everything runs on the calling thread;
+``SweepConfig.threads`` is accepted but no longer changes how work runs.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SweepConfig:
     sigma2_A_grid: Tuple[float, ...] = DEFAULT_GRID
     replicates: int = 1000
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; work runs on the calling thread
     estimators: Tuple[str, ...] = ("shuffle",)
     # block noise
     sigma2_block: float = 0.5
@@ -174,32 +174,24 @@ def _run_grid(
         xatol=cfg.reml_xatol,
     )
 
-    def one_replicate(item):
-        r, y = item
-        out = {}
-        for name in names:
-            try:
-                out[name] = est.run_estimator(
-                    name, y, design, perm, seed=r, **reml_options
-                )
-            except AllStartsFailed:
-                out[name] = None
-        return out
-
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        Y = sampler(gi, s2A)
-        results = est.ordered_map(one_replicate, list(enumerate(Y)), cfg.threads)
+        used = {name: [] for name in names}
+        for r, y in enumerate(sampler(gi, s2A)):
+            for name in names:
+                try:
+                    e = est.run_estimator(name, y, design, perm, seed=r, **reml_options)
+                except AllStartsFailed:
+                    continue
+                if "non_converged" not in e.flags:
+                    used[name].append(e)
         truth = make_truth(s2A, level)
         for name in names:
-            used = [
-                e for e in (res[name] for res in results)
-                if e is not None and "non_converged" not in e.flags
-            ]
+            fits = used[name]
             rows.append(
                 _summarize(
-                    s2A, name, [e.sigma2_A_raw for e in used], [e.omega2 for e in used],
-                    truth.omega2, len(results) - len(used),
+                    s2A, name, [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits],
+                    truth.omega2, cfg.replicates - len(fits),
                     a if name.startswith("shuffle") else float("nan"),
                 )
             )

@@ -12,7 +12,13 @@ from shufflevar import (
     noise_level,
     sample_experiment,
 )
-from shufflevar.noise import ar_autocorrelations, make_truth, psd_cholesky, substream
+from shufflevar.noise import (
+    ar_autocorrelations,
+    make_truth,
+    psd_cholesky,
+    stationary_noise_level,
+    substream,
+)
 from shufflevar.sweeps import make_block_schedule, make_random_schedule
 
 
@@ -150,6 +156,52 @@ class TestNoiseLevel:
         d = build_design(["a", "a", "b", "b"])
         with pytest.raises(ValueError):
             noise_level(np.eye(5), d, 1.0)
+
+
+class TestStationaryNoiseLevel:
+    """The lag-count identity against the dense trace."""
+
+    def _models(self, family, rng, count=40):
+        while count:
+            if family == "iid":
+                model = CovarianceModel.iid()
+            elif family == "exp_nugget":
+                lam1 = rng.uniform(1e-6, 1 - 1e-6)
+                model = CovarianceModel.exp_nugget(lam1, 10.0 ** rng.uniform(-1.0, 10.0))
+            else:
+                model = CovarianceModel.ar(rng.uniform(-1.2, 1.2, int(family[-1])))
+                try:
+                    model.autocorrelations(1)
+                except NonStationary:
+                    continue
+            count -= 1
+            yield model
+
+    @pytest.mark.parametrize("schedule", ["random", "blocked"])
+    @pytest.mark.parametrize("family", ["iid", "exp_nugget", "ar1", "ar2", "ar3"])
+    def test_matches_dense(self, family, schedule):
+        rng = np.random.default_rng(len(family) + len(schedule))
+        for model in self._models(family, rng):
+            m, n = int(rng.integers(2, 25)), int(rng.integers(1, 9))
+            if schedule == "random":
+                d = make_random_schedule(m, n, rng)
+            else:
+                n_blocks = int(rng.choice([b for b in range(1, m + 1) if m % b == 0]))
+                d = make_block_schedule(m, n, n_blocks, rng)
+            want = noise_level(model.materialize(d), d, 1.7)
+            assert stationary_noise_level(model, d, 1.7) == pytest.approx(
+                want, rel=1e-10, abs=0
+            ), (model, m, n)
+
+    def test_materialize_is_toeplitz_of_autocorrelations(self):
+        model = CovarianceModel.ar([0.5, -0.2])
+        d = build_design(["a", "b"] * 5)
+        assert np.array_equal(model.materialize(d)[0], model.autocorrelations(d.T))
+        assert np.array_equal(CovarianceModel.iid().materialize(d), np.eye(d.T))
+
+    def test_block_has_no_autocorrelations(self):
+        with pytest.raises(ValueError):
+            CovarianceModel.block(0.5, 0.7).autocorrelations(8)
 
 
 class TestPsdCholesky:

@@ -1,6 +1,7 @@
 """Invariant checks over randomized designs, data, and permutations."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from shufflevar import (
     ms_between,
     shuffle_estimate,
 )
-from shufflevar.estimators import TRIVIALITY_TOL, TrivialPermutation
+from shufflevar.estimators import TrivialPermutation
 from shufflevar.permutations import PermutationSpec, alpha_dense, block_random_perm
 
 design_params = st.tuples(
@@ -40,7 +41,28 @@ def test_alpha_in_unit_interval_and_matches_dense(params):
     a = alpha(design, perm)
     assert -1e-12 <= a <= 1.0 + 1e-12
     assert abs(a - alpha_dense(design, perm)) <= 1e-10
-    assert (abs(a - 1.0) <= 1e-12) == is_trivial(perm, design)
+
+
+@given(design_params, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_alpha_is_one_exactly_when_trivial(params, relabel):
+    design, perm, y = make_case(params)
+    if relabel:
+        # Map each stimulus's slots onto another stimulus's: always trivial.
+        rng = np.random.default_rng(params[2] + 2)
+        groups = design.stimulus_groups()
+        target = rng.permutation(len(groups))
+        mapping = np.empty(design.T, dtype=int)
+        for g, k in zip(groups, target):
+            mapping[g] = rng.permutation(groups[k])
+        perm = PermutationSpec(mapping)
+    trivial = is_trivial(perm, design)
+    assert (alpha(design, perm) == 1.0) == trivial
+    if trivial:
+        with pytest.raises(TrivialPermutation):
+            shuffle_estimate(y, design, perm)
+    else:
+        assert shuffle_estimate(y, design, perm).alpha < 1.0
 
 
 @given(design_params)
@@ -70,8 +92,7 @@ def test_trivial_perm_leaves_between_contrast_unchanged(params):
 @settings(max_examples=100, deadline=None)
 def test_shuffle_shift_invariant(params, shift):
     design, perm, y = make_case(params)
-    a = alpha(design, perm)
-    if abs(1.0 - a) <= TRIVIALITY_TOL:
+    if is_trivial(perm, design):
         return
     e1 = shuffle_estimate(y, design, perm)
     e2 = shuffle_estimate(y + shift, design, perm)
@@ -83,8 +104,7 @@ def test_shuffle_shift_invariant(params, shift):
 @settings(max_examples=100, deadline=None)
 def test_shuffle_scale_equivariant(params, c):
     design, perm, y = make_case(params)
-    a = alpha(design, perm)
-    if abs(1.0 - a) <= TRIVIALITY_TOL:
+    if is_trivial(perm, design):
         return
     e1 = shuffle_estimate(y, design, perm)
     e2 = shuffle_estimate(c * y, design, perm)

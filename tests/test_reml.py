@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.optimize import OptimizeResult
 
 from shufflevar import (
     CovarianceModel,
-    SizeGuard,
+    build_design,
     mom_estimate,
     reml_estimate,
     sample_experiment,
 )
+from shufflevar import reml as reml_module
 from shufflevar.noise import NonStationary, substream
 from shufflevar.reml import _BIG, _RemlProblem
 from shufflevar.sweeps import make_random_schedule
@@ -159,19 +162,6 @@ class TestExpNuggetRecovery:
             fits.append(est.sigma2_A_raw)
         assert abs(np.median(fits) - 0.4) <= 0.05
 
-    def test_model_accepts_covariance_model(self, small_design):
-        d = small_design
-        y, _ = sample_experiment(
-            d, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(21, 0)
-        )
-        fit, est = reml_estimate(
-            y.values, d, family=CovarianceModel.exp_nugget(0.5, 5.0),
-            n_starts=2, max_evals=400, xatol=1e-4, seed=0,
-        )
-        assert fit.family == "exp_nugget"
-        assert 0.0 < fit.theta[0] < 1.0 and fit.theta[1] > 0.0
-        assert est.method == "reml:exp_nugget"
-
     def test_noise_level_is_model_based(self, small_design):
         from shufflevar import noise_level
         from shufflevar.noise import cov_exp_nugget
@@ -184,6 +174,8 @@ class TestExpNuggetRecovery:
             y.values, d, family="exp_nugget", n_starts=2,
             max_evals=400, xatol=1e-4, seed=0,
         )
+        assert fit.family == "exp_nugget" and est.method == "reml:exp_nugget"
+        assert 0.0 < fit.theta[0] < 1.0 and fit.theta[1] > 0.0
         Sigma_hat = cov_exp_nugget(d.T, *fit.theta)
         assert est.noise_level == pytest.approx(
             noise_level(Sigma_hat, d, fit.sigma2_eps), rel=1e-10
@@ -210,15 +202,36 @@ class TestArFamily:
 
 
 class TestGuards:
-    def test_size_guard(self, small_design):
-        with pytest.raises(SizeGuard):
-            reml_estimate(
-                np.zeros(small_design.T), small_design, family="iid", size_guard=10
-            )
-
     def test_unknown_family(self, small_design):
         with pytest.raises(ValueError):
             reml_estimate(np.zeros(small_design.T), small_design, family="bogus")
+
+    def test_covariance_model_family_rejected(self, small_design):
+        # ``family`` is a family name; a CovarianceModel is not accepted.
+        with pytest.raises(ValueError):
+            reml_estimate(
+                np.zeros(small_design.T), small_design,
+                family=CovarianceModel.exp_nugget(0.5, 5.0),
+            )
+
+    def test_long_series_needs_no_dense_matrix(self):
+        # T = 4200: neither the likelihood nor the noise level forms a T x T
+        # matrix, which alone would take T^2 * 8 bytes (141 MB).
+        m, n = 2, 2100
+        d = build_design(np.tile(np.arange(m), n).tolist())
+        rng = np.random.default_rng(42)
+        y = rng.normal(0.0, 0.5, m)[d.stimulus_index] + rng.standard_normal(d.T)
+        tracemalloc.start()
+        try:
+            fit, est = reml_estimate(
+                y, d, "exp_nugget", n_starts=1, max_evals=200, xatol=1e-4, seed=0
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(est.sigma2_A_raw) and np.isfinite(est.noise_level)
+        assert np.isfinite(fit.log_restricted_likelihood)
+        assert peak < d.T**2 * 8 / 20
 
     def test_deterministic_given_seed(self, small_design):
         d = small_design
@@ -242,3 +255,39 @@ class TestGuards:
         )
         assert not fit.converged
         assert "non_converged" in est.flags
+
+
+class TestConvergedTie:
+    """A start that stopped on its budget one rounding below a converged
+    start does not make the fit non-converged."""
+
+    X_CONVERGED = np.array([math.log(0.3), 0.0, math.log(5.0)])
+    X_BUDGET = np.array([math.log(0.2), 0.5, math.log(4.0)])
+
+    def _fit(self, monkeypatch, design, gap):
+        f = 966.7316669777941
+        results = iter([
+            OptimizeResult(x=self.X_CONVERGED, fun=f, success=True, nfev=40),
+            OptimizeResult(x=self.X_BUDGET, fun=f - gap, success=False, nfev=600),
+        ])
+        monkeypatch.setattr(reml_module, "minimize", lambda *a, **k: next(results))
+        y, _ = sample_experiment(
+            design, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(43, 0)
+        )
+        return reml_estimate(
+            y.values, design, "exp_nugget", n_starts=2, max_evals=600, xatol=1e-5, seed=0
+        )
+
+    def _theta_at(self, x):
+        return (reml_module._sigmoid(x[1]), math.exp(x[2]))
+
+    def test_one_ulp_tie_reports_the_converged_start(self, monkeypatch, small_design):
+        fit, est = self._fit(monkeypatch, small_design, gap=1.1368683772161603e-13)
+        assert fit.converged and "non_converged" not in est.flags
+        assert fit.theta == self._theta_at(self.X_CONVERGED)
+        assert fit.iterations == 640
+
+    def test_gap_beyond_tolerance_stays_non_converged(self, monkeypatch, small_design):
+        fit, est = self._fit(monkeypatch, small_design, gap=1e-3)
+        assert not fit.converged and "non_converged" in est.flags
+        assert fit.theta == self._theta_at(self.X_BUDGET)
