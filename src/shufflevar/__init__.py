@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .design import (
     DegenerateDesign,
     DesignSchedule,
-    MeasurementSeries,
     MissingBlocks,
     NoReplication,
     UnbalancedDesign,

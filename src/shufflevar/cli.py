@@ -22,7 +22,6 @@ from .design import DesignSchedule, NoReplication, build_design
 from .estimators import TrivialPermutation
 from .permutations import alpha as mixing_alpha
 from .permutations import is_trivial, noise_conservation_gap
-from .reml import AllStartsFailed
 from .sweeps import (
     SweepConfig,
     emit_sweep_table,
@@ -42,7 +41,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _schedule_from_args(args) -> DesignSchedule:
     if getattr(args, "input", None):
-        design, _ = sio.read_dataset(args.input)
+        design, _, _ = sio.read_dataset(args.input)
         return design
     if getattr(args, "schedule", None):
         return build_design([s.strip() for s in args.schedule.split(",")])
@@ -62,17 +61,20 @@ def cmd_estimate(args) -> int:
     methods = [m.strip() for m in args.estimators.split(",") if m.strip()]
     for method in methods:
         est.check_estimator(method)
-    design, series = sio.read_dataset(args.input)
+    design, names, Y = sio.read_dataset(args.input)
     perm = sio.parse_permutation(args.permutation, design, seed=args.seed)
 
-    rows = []
-    for s in series:
-        for method in methods:
-            try:
-                e = est.run_estimator(method, s, design, perm, seed=args.seed)
-                rows.append(sio.estimate_row(s.series_id, e))
-            except (TrivialPermutation, NoReplication, AllStartsFailed) as exc:
-                rows.append(sio.error_row(s.series_id, method, type(exc).__name__))
+    results = []  # per method, one estimate or exception per series
+    for method in methods:
+        try:
+            results.append(est.run_estimator(method, Y, design, perm, args.seed))
+        except (TrivialPermutation, NoReplication) as exc:
+            results.append((exc,) * len(names))
+    rows = [
+        sio.estimate_row(name, method, e)
+        for name, per_method in zip(names, zip(*results))
+        for method, e in zip(methods, per_method)
+    ]
 
     config_lines = [
         f"shufflevar {__version__} estimate",
@@ -153,18 +155,23 @@ def _runners() -> dict:
 
 def _sweep_config_from_ini(path) -> tuple:
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
-    sec = parser["sweep"]
-    names = ("kind", *(f.name for f in fields(SweepConfig)))
-    known = {parser.optionxform(name) for name in names}
-    for key in sec:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in [sweep]")
-    kind = sec.get("kind", "block")
-    if kind not in _runners():
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    return kind, parse_fields(SweepConfig, sec)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+        if not parser.has_section("sweep"):
+            raise ValueError(f"{path}: no [sweep] section")
+        sec = parser["sweep"]
+        names = ("kind", *(f.name for f in fields(SweepConfig)))
+        known = {parser.optionxform(name) for name in names}
+        for key in sec:
+            if key not in known:
+                raise ValueError(f"unknown key {key!r} in [sweep]")
+        kind = sec.get("kind", "block")
+        if kind not in _runners():
+            raise ValueError(f"unknown sweep kind {kind!r}")
+        return kind, parse_fields(SweepConfig, sec)
+    except configparser.Error as exc:  # values interpolate as they are read
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

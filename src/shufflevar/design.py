@@ -5,6 +5,9 @@ of ``T`` time slots.  Every stimulus must appear the same number of times;
 the two quadratic contrasts computed here, :func:`ms_between` and
 :func:`ms_within`, are the raw ingredients of every variance estimator in
 this package.
+
+Each function here takes a length-T series, giving a float (or length-m
+array), or a T x S matrix of series, giving one result per column.
 """
 
 from __future__ import annotations
@@ -78,10 +81,9 @@ class DesignSchedule:
     def n_blocks(self) -> int:
         return int(self.block_index.max()) + 1
 
-    def stimulus_groups(self) -> list:
-        """Index arrays of the slots assigned to each stimulus."""
-        order = np.argsort(self.stimulus_index, kind="stable")
-        return np.split(order, np.arange(self.n, self.T, self.n))
+    def stimulus_groups(self) -> np.ndarray:
+        """m x n array whose row i holds stimulus i's slots in time order."""
+        return np.argsort(self.stimulus_index, kind="stable").reshape(self.m, self.n)
 
     def block_groups(self) -> list:
         """Index arrays of the slots assigned to each block."""
@@ -100,27 +102,6 @@ class DesignSchedule:
     def global_matrix(self) -> np.ndarray:
         """Dense T x T global-averaging matrix (all entries 1/T)."""
         return np.full((self.T, self.T), 1.0 / self.T)
-
-
-@dataclass(frozen=True)
-class MeasurementSeries:
-    """One response vector aligned to a design."""
-
-    values: np.ndarray
-    series_id: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("measurement series must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(
-                f"series {self.series_id!r} contains non-finite values"
-            )
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def build_design(
@@ -189,34 +170,41 @@ def build_design(
     )
 
 
-def _aligned_values(y, design: DesignSchedule) -> np.ndarray:
-    vals = y.values if isinstance(y, MeasurementSeries) else np.asarray(y, dtype=float)
-    if len(vals) != design.T:
-        raise ValueError(
-            f"series length {len(vals)} does not match design T={design.T}"
-        )
-    return vals
+def _columns(y, design: DesignSchedule) -> np.ndarray:
+    """``y`` as a T x S matrix; a series is S = 1."""
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim not in (1, 2) or len(Y) != design.T:
+        raise ValueError(f"series shape {Y.shape} does not match design T={design.T}")
+    return Y.reshape(design.T, -1)
 
 
 def treatment_averages(y, design: DesignSchedule) -> np.ndarray:
-    """Mean response per stimulus, in first-appearance order (length m)."""
-    vals = _aligned_values(y, design)
-    sums = np.bincount(design.stimulus_index, weights=vals, minlength=design.m)
-    return sums / design.n
+    """Mean response per stimulus, in first-appearance order (m, or m x S)."""
+    Y = _columns(y, design)
+    # Adding the repeats one at a time sums each group in time order, as
+    # np.bincount does, and holds nothing larger than m x S.
+    slots = design.stimulus_groups()
+    sums = Y[slots[:, 0]]
+    for j in range(1, design.n):
+        sums += Y[slots[:, j]]
+    avgs = sums / design.n
+    return avgs[:, 0] if np.ndim(y) == 1 else avgs
 
 
-def ms_between(y, design: DesignSchedule) -> float:
+def ms_between(y, design: DesignSchedule):
     """Between-treatment mean square: sample variance of the treatment averages.
 
     Equal to ``||(B - G) y||^2 / ((m - 1) n)`` where ``B`` averages within
     treatments and ``G`` averages globally.
     """
-    vals = _aligned_values(y, design)
-    avgs = treatment_averages(vals, design)
-    return float(np.sum((avgs - avgs.mean()) ** 2) / (design.m - 1))
+    # One contiguous row per series, so each reduces as a 1-D series would.
+    A = np.ascontiguousarray(treatment_averages(_columns(y, design), design).T)
+    A -= A.mean(axis=1, keepdims=True)
+    out = np.sum(A**2, axis=1) / (design.m - 1)
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
-def ms_within(y, design: DesignSchedule) -> float:
+def ms_within(y, design: DesignSchedule):
     """Within-treatment mean square, normalized by ``m (n - 1)``.
 
     Unbiased for the per-measurement noise variance when the noise is
@@ -224,7 +212,11 @@ def ms_within(y, design: DesignSchedule) -> float:
     """
     if design.n < 2:
         raise NoReplication("within-treatment contrast needs n >= 2")
-    vals = _aligned_values(y, design)
-    avgs = treatment_averages(vals, design)
-    resid = vals - avgs[design.stimulus_index]
-    return float(np.sum(resid**2) / (design.m * (design.n - 1)))
+    Y = _columns(y, design)
+    avgs = treatment_averages(Y, design)
+    # S x T residuals, one contiguous row per series: the only T x S temporary.
+    resid = np.take(np.ascontiguousarray(avgs.T), design.stimulus_index, axis=1)
+    np.subtract(Y.T, resid, out=resid)
+    np.square(resid, out=resid)
+    out = np.sum(resid, axis=1) / (design.m * (design.n - 1))
+    return float(out[0]) if np.ndim(y) == 1 else out

@@ -1,4 +1,7 @@
-"""Signal-variance and explainable-variance estimators for one series.
+"""Signal-variance and explainable-variance estimators.
+
+The shuffle and MoM estimators take a series, giving one
+:class:`VarianceEstimate`, or a T x S matrix of series, giving a tuple of S.
 
 Three routes to the signal variance:
 
@@ -22,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import permutations as perms
-from .design import DesignSchedule, ms_between, ms_within
+from .design import DesignSchedule, _columns, ms_between, ms_within
 from .permutations import PermutationSpec
 
 # Noise families REML can fit, and the names :func:`run_estimator` accepts.
@@ -84,12 +87,12 @@ def _finish(
     )
 
 
-def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec) -> VarianceEstimate:
+def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):
     """Signal variance from the contrast drop under a noise-conserving shuffle.
 
     ``(MS_bet(y) - MS_bet(Py)) / (1 - alpha)``: unbiased whenever the
     shuffle conserves the noise contribution and mixes treatments
-    (``alpha < 1``).
+    (``alpha < 1``).  ``y`` is a series or a T x S matrix of series.
 
     Raises
     ------
@@ -103,31 +106,34 @@ def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec) -> Varian
         raise TrivialPermutation(
             f"permutation {perm.family!r} only relabels treatments (alpha=1)"
         )
-    total = ms_between(y, design)
-    shuffled = ms_between(perms.apply(perm, y), design)
-    raw = (total - shuffled) / (1.0 - a)
-    return _finish("shuffle", raw, total, alpha=a)
+    Y = _columns(y, design)
+    total = ms_between(Y, design)
+    raw = (total - ms_between(perms.apply(perm, Y), design)) / (1.0 - a)
+    fits = [_finish("shuffle", r, t, alpha=a) for r, t in zip(raw.tolist(), total.tolist())]
+    return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
-def mom_estimate(y, design: DesignSchedule) -> VarianceEstimate:
+def mom_estimate(y, design: DesignSchedule):
     """Method-of-moments estimate assuming uncorrelated noise.
 
     Subtracts ``MS_wit / n`` from the between contrast; records the F
     statistic.  Overstates the signal when noise is positively correlated
-    within treatments.
+    within treatments.  ``y`` is a series or a T x S matrix of series.
     """
-    total = ms_between(y, design)
-    within = ms_within(y, design)  # raises NoReplication when n == 1
-    noise_hat = within / design.n
-    raw = total - noise_hat
-    f_stat = total / noise_hat if noise_hat > 0 else math.inf
-    return _finish("mom", raw, total, f_stat=f_stat)
+    Y = _columns(y, design)
+    total = ms_between(Y, design).tolist()
+    noise_hat = (ms_within(Y, design) / design.n).tolist()  # NoReplication if n == 1
+    fits = [
+        _finish("mom", t - nh, t, f_stat=t / nh if nh > 0 else math.inf)
+        for t, nh in zip(total, noise_hat)
+    ]
+    return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
 def average_shuffle(
     y, design: DesignSchedule, perm_list: Sequence[PermutationSpec]
 ) -> VarianceEstimate:
-    """Plain average of the raw shuffle estimates over several permutations.
+    """Plain average of one series' raw shuffle estimates over several permutations.
 
     Clamping and the explainable-variance plug-in are applied once, to the
     averaged raw estimate.
@@ -147,25 +153,34 @@ def check_estimator(name: str) -> None:
 
 
 def run_estimator(
-    name: str, y, design: DesignSchedule, perm: PermutationSpec, **reml_options
-) -> VarianceEstimate:
-    """Run the estimator called ``name`` (see :func:`check_estimator`) on one series.
+    name: str, Y, design: DesignSchedule, perm: PermutationSpec, seeds, **reml_options
+) -> tuple:
+    """Run the estimator called ``name`` (see :func:`check_estimator`) on
+    each column of the T x S matrix ``Y``: a tuple of S results.
 
-    ``reml_options`` are passed to :func:`shufflevar.reml.reml_estimate`;
-    ``reml:<family>`` overrides their ``family``, and plain ``reml`` fits
-    ``reml_options["family"]`` or REML's default family.
+    Shuffle and MoM run once on the matrix.  REML fits column j with seed
+    ``seeds[j]`` (an int seeds every column) and ``reml_options``, where
+    ``reml:<family>`` overrides ``family``; a column with no finite start
+    holds its :class:`~shufflevar.reml.AllStartsFailed` instead.
     """
     check_estimator(name)
+    Y = _columns(Y, design)
     if name == "shuffle":
-        return shuffle_estimate(y, design, perm)
+        return shuffle_estimate(Y, design, perm)
     if name == "mom":
-        return mom_estimate(y, design)
+        return mom_estimate(Y, design)
     from . import reml  # at call time: reml imports this module
 
     family = name.partition(":")[2]
     if family:
         reml_options["family"] = family
-    return reml.reml_estimate(y, design, **reml_options)[1]
+    out = []
+    for y, seed in zip(Y.T, np.broadcast_to(seeds, Y.shape[1]).tolist()):
+        try:
+            out.append(reml.reml_estimate(y, design, seed=seed, **reml_options)[1])
+        except reml.AllStartsFailed as exc:
+            out.append(exc)
+    return tuple(out)
 
 
 def consistency_diagnostic(Sigma: np.ndarray, m: int, n: int) -> float:

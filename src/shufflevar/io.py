@@ -3,18 +3,19 @@
 Dataset layout: plain CSV with a header.  The first columns are ``t``
 (1-based slot), ``stimulus`` and optionally ``block``; every remaining
 column is one measurement series.  Lines starting with ``#`` are
-provenance comments and are skipped.
+provenance comments and are skipped.  In memory a dataset is its design,
+the series names and a T x S matrix with one column per series.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignSchedule, MeasurementSeries, build_design
+from .design import DesignSchedule, build_design
 from .noise import CovarianceModel
 from .permutations import (
     PermutationSpec,
@@ -35,8 +36,8 @@ def _float17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def read_dataset(path) -> Tuple[DesignSchedule, List[MeasurementSeries]]:
-    """Parse a dataset CSV into a design and its measurement series."""
+def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
+    """Parse a dataset CSV into its design, series names and T x S values."""
     with open(path, newline="") as fh:
         lines = [
             (i + 1, line)
@@ -89,29 +90,27 @@ def read_dataset(path) -> Tuple[DesignSchedule, List[MeasurementSeries]]:
     for lineno, col in zip((r[4] for r in records), values):
         if not np.all(np.isfinite(col)):
             raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
-    series = [
-        MeasurementSeries(values[:, j], series_id=name)
-        for j, name in enumerate(series_names)
-    ]
-    return design, series
+    return design, series_names, values
 
 
 def write_dataset(
     path,
     design: DesignSchedule,
-    series: Sequence[MeasurementSeries],
+    names: Sequence[str],
+    Y,
     comments: Sequence[str] = (),
 ) -> None:
-    """Write a dataset CSV; floats keep 17 significant digits."""
+    """Write a dataset CSV of T x S values; floats keep 17 significant digits."""
+    Y = np.asarray(Y, dtype=float).reshape(design.T, len(names))
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["t", "stimulus", "block"] + [s.series_id for s in series])
+        writer.writerow(["t", "stimulus", "block", *names])
         for t in range(design.T):
             writer.writerow(
                 [t + 1, design.labels[t], design.block_labels[t]]
-                + [_float17(s.values[t]) for s in series]
+                + [_float17(v) for v in Y[t]]
             )
 
 
@@ -194,20 +193,11 @@ def write_estimates(path, rows, config_lines: Sequence[str] = ()) -> None:
             writer.writerow(row)
 
 
-def estimate_row(series_id: str, e) -> list:
-    """Flatten a VarianceEstimate into one output record."""
-    return [
-        series_id,
-        e.method,
-        "" if e.alpha is None else _float17(e.alpha),
-        _float17(e.sigma2_A_raw),
-        _float17(e.sigma2_A),
-        _float17(e.noise_level),
-        _float17(e.total),
-        _float17(e.omega2),
-        ";".join(e.flags),
-    ]
-
-
-def error_row(series_id: str, method: str, flag: str) -> list:
-    return [series_id, method, "", "nan", "nan", "nan", "nan", "nan", flag]
+def estimate_row(series_id: str, method: str, e) -> list:
+    """One output record: a VarianceEstimate flattened, or, for the
+    exception ``method`` raised, a nan record flagged with its kind."""
+    if isinstance(e, Exception):
+        return [series_id, method, "", "nan", "nan", "nan", "nan", "nan", type(e).__name__]
+    alpha = "" if e.alpha is None else _float17(e.alpha)
+    values = (e.sigma2_A_raw, e.sigma2_A, e.noise_level, e.total, e.omega2)
+    return [series_id, e.method, alpha, *map(_float17, values), ";".join(e.flags)]

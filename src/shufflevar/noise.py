@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack, toeplitz
 
-from .design import DesignSchedule, MeasurementSeries, MissingBlocks
+from .design import DesignSchedule, MissingBlocks
 from .permutations import contrast_trace
 
 
@@ -305,8 +305,7 @@ def stationary_noise_level(
     ``c_k = 2 (T - k)`` count all ordered pairs at lag k.
     """
     T, m, n = design.T, design.m, design.n
-    # Row i holds stimulus i's slots in ascending order.
-    slots = np.argsort(design.stimulus_index, kind="stable").reshape(m, n)
+    slots = design.stimulus_groups()
     W = np.zeros(T, dtype=np.int64)
     W[0] = T
     for j in range(1, n):
@@ -361,14 +360,13 @@ def sample_experiment(
     noise: CovarianceModel,
     sigma2_eps: float,
     seed,
-    series_id: str = "sim",
     chol: Optional[np.ndarray] = None,
-) -> Tuple[MeasurementSeries, ExperimentTruth]:
+) -> Tuple[np.ndarray, ExperimentTruth]:
     """Draw one synthetic experiment Y = signal + correlated noise.
 
     Treatment effects are i.i.d. centered Gaussians with variance
     ``sigma2_A``; the noise is Gaussian with covariance ``sigma2_eps *
-    Sigma``.  The analytic truth is attached.  Pass a precomputed ``chol``
+    Sigma``.  Returns the length-T series and its analytic truth.  Pass a precomputed ``chol``
     factor of the covariance to amortize the factorization across draws.
     """
     if sigma2_A < 0 or sigma2_eps < 0:
@@ -381,4 +379,4 @@ def sample_experiment(
     eps = np.sqrt(sigma2_eps) * (chol @ rng.standard_normal(design.T))
     values = effects[design.stimulus_index] + eps
     truth = make_truth(sigma2_A, noise_level(Sigma, design, sigma2_eps))
-    return MeasurementSeries(values, series_id=series_id), truth
+    return values, truth

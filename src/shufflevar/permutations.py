@@ -1,7 +1,8 @@
 """Permutations of the measurement axis and their mixing diagnostics.
 
 A permutation is stored as a 0-based index array ``g`` with the convention
-that shuffling a series ``y`` produces ``y[g]``.  The mixing coefficient
+that shuffling a series ``y`` produces ``y[g]``; one permutation shuffles
+the rows of a T x S matrix, every series alike.  The mixing coefficient
 :func:`alpha` measures how much of the between-treatment signal survives a
 shuffle; :func:`noise_conservation_gap` quantifies whether a shuffle leaves
 the noise contribution to the between-treatment contrast unchanged for a
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSchedule, MeasurementSeries
+from .design import DesignSchedule
 
 
 class OddLength(ValueError):
@@ -52,12 +53,6 @@ class PermutationSpec:
         inv = np.empty(self.T, dtype=np.intp)
         inv[self.mapping] = np.arange(self.T)
         return PermutationSpec(inv, family=self.family)
-
-    def matrix(self) -> np.ndarray:
-        """Dense permutation matrix P with (P y)_t = y[mapping[t]]."""
-        P = np.zeros((self.T, self.T))
-        P[np.arange(self.T), self.mapping] = 1.0
-        return P
 
 
 def identity_perm(T: int) -> PermutationSpec:
@@ -103,15 +98,11 @@ def perm_from_indices(indices_1based, family: str = "custom") -> PermutationSpec
     return PermutationSpec(g, family=family)
 
 
-def apply(perm: PermutationSpec, y):
-    """Shuffle a series: returns the same type as the input."""
-    if isinstance(y, MeasurementSeries):
-        if len(y) != perm.T:
-            raise ValueError(f"series length {len(y)} != permutation size {perm.T}")
-        return MeasurementSeries(y.values[perm.mapping], series_id=y.series_id)
+def apply(perm: PermutationSpec, y) -> np.ndarray:
+    """Shuffle the time slots of a series, or the rows of a T x S matrix."""
     vals = np.asarray(y, dtype=float)
-    if len(vals) != perm.T:
-        raise ValueError(f"series length {len(vals)} != permutation size {perm.T}")
+    if vals.ndim not in (1, 2) or len(vals) != perm.T:
+        raise ValueError(f"series of shape {vals.shape} != permutation size {perm.T}")
     return vals[perm.mapping]
 
 

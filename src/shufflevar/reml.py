@@ -79,7 +79,7 @@ class _RemlProblem:
             np.column_stack([np.eye(self.m)[design.stimulus_index], y, np.ones(self.T)])
         )
         # Slots sorted by stimulus: X'Z is a sum over n consecutive rows.
-        self.order = np.argsort(design.stimulus_index, kind="stable")
+        self.order = design.stimulus_groups().ravel()
 
     def model(self, theta: Sequence[float]) -> CovarianceModel:
         """Noise correlation at transformed parameters ``theta``."""
@@ -184,7 +184,9 @@ def reml_estimate(
     if family == "ar" and not 1 <= ar_order <= 3:
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
 
-    vals = y.values if hasattr(y, "values") else np.asarray(y, dtype=float)
+    vals = np.asarray(y, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError("REML fits one series; run_estimator fits each column")
     problem = _RemlProblem(vals, design, family, ar_order)
     total = ms_between(vals, design)
     rng = np.random.default_rng(seed)

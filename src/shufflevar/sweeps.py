@@ -8,22 +8,24 @@ Replicate r of grid point gi draws from its own RNG substream keyed by
 (seed, 2, gi, r): the signal effects first, then the noise.  A grid point's
 replicates are stacked as the rows of one R x T matrix, so the time-series
 noise is one matrix product (a level-3 BLAS call) with the Cholesky factor
-of the noise covariance rather than R matrix-vector products.  The
-estimators then run per row.  Everything runs on the calling thread;
-``SweepConfig.threads`` is accepted but no longer changes how work runs.
+of the noise covariance rather than R matrix-vector products.  Each
+estimator then runs once on that matrix's transpose, one column per
+replicate; REML fits replicate r with seed r.  Everything runs on the
+calling thread; ``SweepConfig.threads`` is accepted but no longer changes
+how work runs.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import estimators as est
-from .design import DesignSchedule, build_design
+from .design import DesignSchedule, build_design, treatment_averages
 from .noise import (
     CovarianceModel,
     make_truth,
@@ -67,6 +69,9 @@ class SweepConfig:
             raise ValueError("need at least one replicate")
         if not self.sigma2_A_grid:
             raise ValueError("signal-variance grid must be nonempty")
+        for name in ("sigma2_A_grid", "sigma2_eps", "sigma2_block", "sigma2_unit"):
+            if not np.all(np.asarray(getattr(self, name)) >= 0):
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -153,11 +158,11 @@ def _summarize(
 def _run_grid(
     cfg: SweepConfig,
     design: DesignSchedule,
-    perm: Optional[PermutationSpec],
+    perm: PermutationSpec,
     level: float,
     sampler: Callable,
 ) -> SweepResult:
-    """Shared grid/replicate loop.
+    """Shared grid loop: each estimator runs once on a grid point's replicates.
 
     ``sampler(gi, s2A)`` returns grid point ``gi``'s replicates as the rows
     of a ``(cfg.replicates, design.T)`` matrix.  A fit that fails or does
@@ -166,7 +171,7 @@ def _run_grid(
     names = tuple(cfg.estimators)
     for name in names:
         est.check_estimator(name)
-    a = alpha(design, perm) if perm is not None else float("nan")
+    a = alpha(design, perm)
     reml_options = dict(
         family=cfg.reml_family,
         n_starts=cfg.reml_starts,
@@ -174,20 +179,17 @@ def _run_grid(
         xatol=cfg.reml_xatol,
     )
 
+    seeds = range(cfg.replicates)
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        used = {name: [] for name in names}
-        for r, y in enumerate(sampler(gi, s2A)):
-            for name in names:
-                try:
-                    e = est.run_estimator(name, y, design, perm, seed=r, **reml_options)
-                except AllStartsFailed:
-                    continue
-                if "non_converged" not in e.flags:
-                    used[name].append(e)
+        Y = sampler(gi, s2A).T
         truth = make_truth(s2A, level)
         for name in names:
-            fits = used[name]
+            fits = [
+                e
+                for e in est.run_estimator(name, Y, design, perm, seeds, **reml_options)
+                if not isinstance(e, AllStartsFailed) and "non_converged" not in e.flags
+            ]
             rows.append(
                 _summarize(
                     s2A, name, [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits],
@@ -317,7 +319,7 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
         sample = rng.choice(M, size=cfg.m, replace=False)
         effects = mu[sample]
         y = effects[h] + chol @ rng.standard_normal(design.T)
-        avgs = np.bincount(h, weights=y, minlength=cfg.m) / design.n
+        avgs = treatment_averages(y, design)
 
         resid = effects - avgs
         mspe[r] = np.sum(resid**2) / (cfg.m - 1)

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from shufflevar import MeasurementSeries, build_design, mom_estimate, shuffle_estimate
+from shufflevar import build_design, mom_estimate, shuffle_estimate
 from shufflevar.cli import _sweep_config_from_ini, main
 from shufflevar.io import write_dataset
 from shufflevar.permutations import reverse_perm
@@ -17,12 +17,10 @@ SCHED = ["a", "a", "b", "b", "a", "b"]
 def dataset(tmp_path):
     rng = np.random.default_rng(0)
     design = build_design(SCHED, ["x"] * 3 + ["y"] * 3)
-    series = [
-        MeasurementSeries(rng.standard_normal(6), series_id=f"v{j}") for j in range(2)
-    ]
+    names, Y = ["v0", "v1"], rng.standard_normal((6, 2))
     path = tmp_path / "data.csv"
-    write_dataset(path, design, series)
-    return path, design, series
+    write_dataset(path, design, names, Y)
+    return path, design, (names, Y)
 
 
 def read_csv_rows(path):
@@ -34,7 +32,7 @@ def read_csv_rows(path):
 
 class TestEstimate:
     def test_matches_direct_api(self, dataset, tmp_path):
-        path, design, series = dataset
+        path, design, (names, Y) = dataset
         out = tmp_path / "est.csv"
         rc = main(
             ["estimate", "-i", str(path), "--permutation", "reverse",
@@ -49,12 +47,12 @@ class TestEstimate:
         assert len(rows) == 4  # 2 series x 2 methods
         P = reverse_perm(design.T)
         for rec in rows:
-            s = next(s for s in series if s.series_id == rec["series_id"])
+            y = Y[:, names.index(rec["series_id"])]
             if rec["method"] == "shuffle":
-                e = shuffle_estimate(s.values, design, P)
+                e = shuffle_estimate(y, design, P)
                 assert float(rec["alpha"]) == pytest.approx(e.alpha, rel=1e-15)
             else:
-                e = mom_estimate(s.values, design)
+                e = mom_estimate(y, design)
                 assert rec["alpha"] == ""
             assert float(rec["sigma2_A_raw"]) == pytest.approx(e.sigma2_A_raw, rel=1e-15)
             assert float(rec["omega2"]) == pytest.approx(e.omega2, rel=1e-15)
@@ -71,9 +69,8 @@ class TestEstimate:
         # reversal only relabels this schedule, so shuffle rows become
         # error records while mom rows still succeed
         design = build_design(["a", "a", "b", "b"])
-        series = [MeasurementSeries([1.0, 2.0, 3.0, 4.0], series_id="v0")]
         data = tmp_path / "d.csv"
-        write_dataset(data, design, series)
+        write_dataset(data, design, ["v0"], [[1.0], [2.0], [3.0], [4.0]])
         out = tmp_path / "est.csv"
         rc = main(
             ["estimate", "-i", str(data), "--permutation", "reverse",
@@ -251,6 +248,25 @@ class TestSimulate:
         out = tmp_path / "sweep.csv"
         assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[other]\nkind = block\n",
+            "kind = block\nm = 6\n",
+            "[sweep]\nm = 6\nm = 8\n",
+            "[sweep]\nm = %(x)s\n",
+        ],
+        ids=["no-sweep-section", "no-section-header", "duplicate-key", "interpolation"],
+    )
+    def test_malformed_ini_exits_1_naming_the_file(self, tmp_path, capsys, text):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(text)
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: ")
         assert not out.exists()
 
     def test_matches_library_result(self, tmp_path):

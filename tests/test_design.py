@@ -3,7 +3,6 @@ import pytest
 
 from shufflevar import (
     DegenerateDesign,
-    MeasurementSeries,
     NoReplication,
     UnbalancedDesign,
     build_design,
@@ -53,16 +52,6 @@ class TestBuildDesign:
             build_design(["a", "a", "b", "b"], ["x", "x"])
 
 
-class TestMeasurementSeries:
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementSeries([1.0, np.nan, 2.0])
-
-    def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            MeasurementSeries([1.0, np.inf])
-
-
 class TestTreatmentAverages:
     def test_hand_example(self):
         d = build_design(["a", "a", "b", "b"])
@@ -81,6 +70,48 @@ class TestTreatmentAverages:
         d = build_design(["a", "a", "b", "b"])
         with pytest.raises(ValueError):
             treatment_averages([1, 2, 3], d)
+
+    def test_matrix_columns(self):
+        d = build_design(["a", "b", "a", "b"])
+        Y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+        assert treatment_averages(Y, d).tolist() == [[3.0, 4.0], [5.0, 6.0]]
+
+
+class TestSeriesMatrix:
+    """Columns of a T x S matrix get the bits of the 1-D bincount formula."""
+
+    @pytest.mark.parametrize("m, n", [(120, 15), (36, 6), (2, 2)])
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_columns_equal_bincount_formula(self, m, n, layout):
+        rng = np.random.default_rng(m * n)
+        d = build_design(rng.permutation(np.repeat(np.arange(m), n)).tolist())
+        h = d.stimulus_index
+        scales = np.logspace(-3, 3, 7)
+        # "columns" is the transposed view of an S x T array, as sweeps pass it.
+        if layout == "rows":
+            Y = rng.standard_normal((d.T, 7)) * scales
+        else:
+            Y = (rng.standard_normal((7, d.T)) * scales[:, None]).T
+        msb, msw = ms_between(Y, d), ms_within(Y, d)
+        assert msb.shape == msw.shape == (7,)
+        for j in range(Y.shape[1]):
+            y = np.ascontiguousarray(Y[:, j])
+            avgs = np.bincount(h, weights=y, minlength=m) / n
+            assert msb[j] == np.sum((avgs - avgs.mean()) ** 2) / (m - 1)
+            assert msw[j] == np.sum((y - avgs[h]) ** 2) / (m * (n - 1))
+            assert ms_between(y, d) == msb[j]
+            assert ms_within(y, d) == msw[j]
+
+    def test_series_gives_float(self):
+        d = build_design(["a", "a", "b", "b"])
+        assert type(ms_between([1, 2, 3, 4], d)) is float
+        assert type(ms_within([1, 2, 3, 4], d)) is float
+
+    def test_shape_mismatch(self):
+        d = build_design(["a", "a", "b", "b"])
+        for bad in (np.zeros((3, 2)), np.zeros((4, 2, 1))):
+            with pytest.raises(ValueError):
+                ms_between(bad, d)
 
 
 class TestMsBetween:

@@ -15,6 +15,7 @@ from shufflevar import (
     sample_experiment,
     shuffle_estimate,
 )
+from shufflevar.estimators import run_estimator
 from shufflevar.noise import cov_exp_nugget, substream
 from shufflevar.permutations import block_random_perm, cyclic_shift
 from shufflevar.sweeps import make_random_schedule
@@ -70,7 +71,7 @@ class TestShuffleEstimate:
         raws = []
         for r in range(2000):
             y, _ = sample_experiment(d, 0.5, model, 1.0, seed=substream(31, r))
-            raws.append(shuffle_estimate(y.values, d, P).sigma2_A_raw)
+            raws.append(shuffle_estimate(y, d, P).sigma2_A_raw)
         raws = np.array(raws)
         se = raws.std(ddof=1) / np.sqrt(raws.size)
         assert abs(raws.mean() - 0.5) <= 3.5 * se
@@ -111,7 +112,7 @@ class TestMomEstimate:
         raws = []
         for r in range(2000):
             y, _ = sample_experiment(d, 0.3, CovarianceModel.iid(), 1.0, seed=substream(77, r))
-            raws.append(mom_estimate(y.values, d).sigma2_A_raw)
+            raws.append(mom_estimate(y, d).sigma2_A_raw)
         raws = np.array(raws)
         se = raws.std(ddof=1) / np.sqrt(raws.size)
         assert abs(raws.mean() - 0.3) <= 3.5 * se
@@ -124,11 +125,53 @@ class TestMomEstimate:
         model = CovarianceModel.block(0.5, 0.7)
         raws = [
             mom_estimate(
-                sample_experiment(d, 0.0, model, 1.0, seed=substream(15, r))[0].values, d
+                sample_experiment(d, 0.0, model, 1.0, seed=substream(15, r))[0], d
             ).sigma2_A_raw
             for r in range(300)
         ]
         assert np.mean(raws) > 0.3  # true signal variance is 0
+
+
+class TestSeriesMatrix:
+    """A T x S matrix gives one estimate per column, equal to the column's own."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.d = make_random_schedule(6, 4, rng)
+        self.Y = rng.standard_normal((self.d.T, 5)) + rng.standard_normal((6, 5))[
+            self.d.stimulus_index
+        ]
+
+    def test_shuffle_and_mom_per_column(self):
+        P = reverse_perm(self.d.T)
+        for estimate, args in ((shuffle_estimate, (P,)), (mom_estimate, ())):
+            out = estimate(self.Y, self.d, *args)
+            assert isinstance(out, tuple) and len(out) == 5
+            assert out == tuple(estimate(y, self.d, *args) for y in self.Y.T)
+
+    def test_run_estimator_seeds_each_reml_column(self):
+        from shufflevar.reml import reml_estimate
+
+        out = run_estimator("reml:iid", self.Y[:, :2], self.d, None, [3, 8], n_starts=2)
+        assert out == tuple(
+            reml_estimate(self.Y[:, j], self.d, "iid", n_starts=2, seed=s)[1]
+            for j, s in ((0, 3), (1, 8))
+        )
+
+    def test_run_estimator_keeps_a_failed_column(self, monkeypatch):
+        import shufflevar.reml as reml
+
+        fit = reml.reml_estimate
+
+        def fail_on_second(y, design, **options):
+            if y[0] == self.Y[0, 1]:
+                raise reml.AllStartsFailed("no finite start")
+            return fit(y, design, **options)
+
+        monkeypatch.setattr(reml, "reml_estimate", fail_on_second)
+        out = run_estimator("reml:iid", self.Y[:, :3], self.d, None, 0, n_starts=1)
+        assert isinstance(out[1], reml.AllStartsFailed)
+        assert out[0].method == out[2].method == "reml:iid"
 
 
 class TestAverageShuffle:
@@ -214,7 +257,7 @@ class TestBlockShuffleUnbiased:
         P = block_random_perm(d, seed=3)
         raws = [
             shuffle_estimate(
-                sample_experiment(d, 0.4, model, 1.0, seed=substream(55, r))[0].values,
+                sample_experiment(d, 0.4, model, 1.0, seed=substream(55, r))[0],
                 d,
                 P,
             ).sigma2_A_raw

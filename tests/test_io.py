@@ -1,7 +1,14 @@
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shufflevar import MeasurementSeries, build_design
+from shufflevar import build_design
+from shufflevar.cli import main
 from shufflevar.io import (
     DatasetFormatError,
     parse_noise,
@@ -28,29 +35,29 @@ class TestReadDataset:
     def test_basic(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, GOOD)
-        design, series = read_dataset(p)
+        design, names, Y = read_dataset(p)
         assert (design.T, design.m, design.n, design.n_blocks) == (4, 2, 2, 2)
-        assert [s.series_id for s in series] == ["v1", "v2"]
-        assert series[0].values.tolist() == [0.5, -0.25, 0.125, 2.5]
+        assert names == ["v1", "v2"]
+        assert Y[:, 0].tolist() == [0.5, -0.25, 0.125, 2.5]
 
     def test_comments_skipped(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["# provenance", GOOD[0], "# mid-file note"] + GOOD[1:])
-        design, series = read_dataset(p)
+        design, _, _ = read_dataset(p)
         assert design.T == 4
 
     def test_rows_sorted_by_t(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, [GOOD[0], GOOD[4], GOOD[2], GOOD[1], GOOD[3]])
-        design, series = read_dataset(p)
-        assert series[0].values.tolist() == [0.5, -0.25, 0.125, 2.5]
+        design, _, Y = read_dataset(p)
+        assert Y[:, 0].tolist() == [0.5, -0.25, 0.125, 2.5]
         assert list(design.labels) == ["a", "b", "a", "b"]
 
     def test_missing_block_warns(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["t,stimulus,v1", "1,a,0.5", "2,b,1.0", "3,a,1.5", "4,b,2.0"])
         with pytest.warns(UserWarning, match="block"):
-            design, series = read_dataset(p)
+            design, _, _ = read_dataset(p)
         assert not design.has_blocks
 
     def test_bad_header(self, tmp_path):
@@ -94,18 +101,15 @@ class TestWriteDataset:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         design = build_design(["a", "a", "b", "b"], ["x", "x", "y", "y"])
-        series = [
-            MeasurementSeries(rng.standard_normal(4), series_id=f"v{j}")
-            for j in range(3)
-        ]
+        names = [f"v{j}" for j in range(3)]
+        Y = rng.standard_normal((4, 3))
         p = tmp_path / "d.csv"
-        write_dataset(p, design, series, comments=["written by test"])
-        design2, series2 = read_dataset(p)
+        write_dataset(p, design, names, Y, comments=["written by test"])
+        design2, names2, Y2 = read_dataset(p)
         assert list(design2.labels) == list(design.labels)
         assert list(design2.block_labels) == list(design.block_labels)
-        for a, b in zip(series, series2):
-            assert a.series_id == b.series_id
-            assert np.array_equal(a.values, b.values)  # 17 digits round-trips
+        assert names2 == names
+        assert np.array_equal(Y2, Y)  # 17 digits round-trips
 
 
 class TestParsePermutation:
@@ -151,3 +155,38 @@ class TestParseNoise:
         for spec in ["exp-nugget:0.7", "block:1", "ar:", "ar:1,2,3,4", "bogus:1"]:
             with pytest.raises(ValueError):
                 parse_noise(spec)
+
+
+VALID_FILES = [
+    "\n".join(GOOD) + "\n",
+    "t,stimulus,v1\n1,a,0.5\n2,b,1.0\n3,a,1.5\n4,b,2.0\n",
+    "# note\nt,stimulus,block,v1\n3,c,x,1e-3\n1,a,x,2\n5,b,y,-4\n2,b,x,0\n6,c,y,1\n4,a,y,7.5\n",
+]
+
+
+@st.composite
+def mutated_dataset(draw):
+    """A valid dataset after a few character-level edits."""
+    text = draw(st.sampled_from(VALID_FILES))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        piece = draw(st.text(",\n#\". -+e0123456789abcnxyt", max_size=3))
+        cut = draw(st.integers(0, 3))
+        text = text[:i] + piece + text[i + cut:]
+    return text
+
+
+class TestFuzzDataset:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(st.characters(blacklist_categories=("Cs",))), mutated_dataset()))
+    def test_estimate_exits_0_or_1(self, text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = Path(tmp) / "d.csv"
+            path.write_text(text, encoding="utf-8")
+            try:
+                read_dataset(path)
+            except ValueError:
+                pass  # every rejection is a ValueError subclass
+            rc = main(["estimate", "-i", str(path), "-o", str(Path(tmp) / "est.csv")])
+            assert rc in (0, 1)

@@ -221,21 +221,21 @@ class TestSampleExperiment:
         d = make_random_schedule(5, 4, np.random.default_rng(0))
         y1, t1 = sample_experiment(d, 0.4, CovarianceModel.exp_nugget(0.5, 3.0), 1.0, seed=7)
         y2, t2 = sample_experiment(d, 0.4, CovarianceModel.exp_nugget(0.5, 3.0), 1.0, seed=7)
-        assert np.array_equal(y1.values, y2.values)
+        assert np.array_equal(y1, y2)
         assert t1 == t2
 
     def test_zero_everything(self):
         d = build_design(["a", "a", "b", "b"])
         y, truth = sample_experiment(d, 0.0, CovarianceModel.iid(), 0.0, seed=0)
-        assert np.allclose(y.values, 0.0)
+        assert np.allclose(y, 0.0)
         assert truth.omega2 == 0.0
         assert truth.degenerate
 
     def test_no_noise_repeats_identical(self):
         d = build_design(["a", "b", "a", "b", "c", "c"])
         y, truth = sample_experiment(d, 1.0, CovarianceModel.iid(), 0.0, seed=3)
-        avgs = y.values[:2]
-        assert y.values[2] == avgs[0] and y.values[3] == avgs[1]
+        avgs = y[:2]
+        assert y[2] == avgs[0] and y[3] == avgs[1]
         assert truth.omega2 == 1.0
 
     def test_truth_decomposition_exact(self):
@@ -252,7 +252,7 @@ class TestSampleExperiment:
         totals = []
         for r in range(1000):
             y, truth = sample_experiment(d, 0.4, model, 1.0, seed=substream(99, r))
-            totals.append(ms_between(y.values, d))
+            totals.append(ms_between(y, d))
         totals = np.array(totals)
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert abs(totals.mean() - truth.total) <= 3 * se
@@ -264,7 +264,7 @@ class TestSampleExperiment:
         draws = np.empty((10_000, d.T))
         for r in range(draws.shape[0]):
             y, _ = sample_experiment(d, 0.0, model, 1.0, seed=substream(7, r))
-            draws[r] = y.values
+            draws[r] = y
         emp = np.cov(draws.T)
         # entrywise 5 standard errors; SE of a covariance entry is ~ sqrt((1+rho^2)/R)
         se = np.sqrt((1 + Sigma**2) / draws.shape[0])

@@ -114,6 +114,10 @@ class TestApply:
     def test_reverse(self):
         P = reverse_perm(3)
         assert apply(P, [1.0, 2.0, 3.0]).tolist() == [3.0, 2.0, 1.0]
+        # a T x S matrix: every column shuffled alike
+        assert apply(P, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]).tolist() == [
+            [3.0, 6.0], [2.0, 5.0], [1.0, 4.0]
+        ]
 
     def test_identity(self):
         P = identity_perm(4)

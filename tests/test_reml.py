@@ -75,7 +75,7 @@ class TestStructuredObjective:
         y, _ = sample_experiment(
             d, 0.4, CovarianceModel.exp_nugget(0.6, 8.0), 1.0, seed=substream(50, 0)
         )
-        return d, y.values
+        return d, y
 
     def _points(self, family, order, rng, count=200):
         for _ in range(count):
@@ -130,8 +130,8 @@ class TestIidEquivalence:
             y, _ = sample_experiment(
                 d, 0.4, CovarianceModel.iid(), 1.0, seed=substream(10, r)
             )
-            mom = mom_estimate(y.values, d)
-            fit, est = reml_estimate(y.values, d, family="iid", n_starts=3, seed=0)
+            mom = mom_estimate(y, d)
+            fit, est = reml_estimate(y, d, family="iid", n_starts=3, seed=0)
             if mom.sigma2_A_raw > 0:
                 assert fit.sigma2_A == pytest.approx(mom.sigma2_A_raw, abs=1e-6)
             else:
@@ -142,10 +142,10 @@ class TestIidEquivalence:
 
         d = small_design
         y, _ = sample_experiment(d, 0.4, CovarianceModel.iid(), 1.0, seed=substream(11, 0))
-        mom = mom_estimate(y.values, d)
-        fit, _ = reml_estimate(y.values, d, family="iid", n_starts=3, seed=0)
+        mom = mom_estimate(y, d)
+        fit, _ = reml_estimate(y, d, family="iid", n_starts=3, seed=0)
         if mom.sigma2_A_raw > 0:
-            assert fit.sigma2_eps == pytest.approx(ms_within(y.values, d), rel=1e-5)
+            assert fit.sigma2_eps == pytest.approx(ms_within(y, d), rel=1e-5)
 
 
 class TestExpNuggetRecovery:
@@ -156,7 +156,7 @@ class TestExpNuggetRecovery:
         for r in range(30):
             y, _ = sample_experiment(d, 0.4, model, 1.0, seed=substream(20, r))
             _, est = reml_estimate(
-                y.values, d, family="exp_nugget", n_starts=2,
+                y, d, family="exp_nugget", n_starts=2,
                 max_evals=600, xatol=1e-5, seed=0,
             )
             fits.append(est.sigma2_A_raw)
@@ -171,7 +171,7 @@ class TestExpNuggetRecovery:
             d, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(22, 0)
         )
         fit, est = reml_estimate(
-            y.values, d, family="exp_nugget", n_starts=2,
+            y, d, family="exp_nugget", n_starts=2,
             max_evals=400, xatol=1e-4, seed=0,
         )
         assert fit.family == "exp_nugget" and est.method == "reml:exp_nugget"
@@ -189,7 +189,7 @@ class TestArFamily:
             d, 0.3, CovarianceModel.ar([0.5]), 1.0, seed=substream(30, 0)
         )
         fit, est = reml_estimate(
-            y.values, d, family="ar", ar_order=1, n_starts=2,
+            y, d, family="ar", ar_order=1, n_starts=2,
             max_evals=400, xatol=1e-4, seed=0,
         )
         assert fit.family == "ar"
@@ -238,9 +238,9 @@ class TestGuards:
         y, _ = sample_experiment(
             d, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(40, 0)
         )
-        f1, e1 = reml_estimate(y.values, d, "exp_nugget", n_starts=3,
+        f1, e1 = reml_estimate(y, d, "exp_nugget", n_starts=3,
                                max_evals=400, xatol=1e-4, seed=7)
-        f2, e2 = reml_estimate(y.values, d, "exp_nugget", n_starts=3,
+        f2, e2 = reml_estimate(y, d, "exp_nugget", n_starts=3,
                                max_evals=400, xatol=1e-4, seed=7)
         assert f1.sigma2_A == f2.sigma2_A
         assert e1 == e2
@@ -251,7 +251,7 @@ class TestGuards:
             d, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(41, 0)
         )
         fit, est = reml_estimate(
-            y.values, d, "exp_nugget", n_starts=1, max_evals=5, xatol=1e-12, seed=0
+            y, d, "exp_nugget", n_starts=1, max_evals=5, xatol=1e-12, seed=0
         )
         assert not fit.converged
         assert "non_converged" in est.flags
@@ -275,7 +275,7 @@ class TestConvergedTie:
             design, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(43, 0)
         )
         return reml_estimate(
-            y.values, design, "exp_nugget", n_starts=2, max_evals=600, xatol=1e-5, seed=0
+            y, design, "exp_nugget", n_starts=2, max_evals=600, xatol=1e-5, seed=0
         )
 
     def _theta_at(self, x):

@@ -36,7 +36,7 @@ def per_replicate_summaries(cfg, design, perm, draw):
             draw(substream(cfg.seed, 2, gi, r), s2A) for r in range(cfg.replicates)
         ]
         for name in cfg.estimators:
-            fits = [run_estimator(name, y, design, perm) for y in series]
+            fits = [run_estimator(name, y, design, perm, 0)[0] for y in series]
             raws = np.array([e.sigma2_A_raw for e in fits])
             q25, q75 = np.quantile(raws, [0.25, 0.75])
             out.append(
@@ -58,6 +58,20 @@ class TestConfig:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             SweepConfig(sigma2_A_grid=())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma2_A_grid", (0.2, -1.0)),
+            ("sigma2_A_grid", (float("nan"),)),
+            ("sigma2_eps", -1.0),
+            ("sigma2_block", -0.5),
+            ("sigma2_unit", -1e-9),
+        ],
+    )
+    def test_negative_variance(self, field, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SweepConfig(**{field: value})
 
     def test_block_divisibility(self):
         with pytest.raises(ValueError):
