@@ -130,20 +130,25 @@ def mom_estimate(y, design: DesignSchedule):
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
-def average_shuffle(
-    y, design: DesignSchedule, perm_list: Sequence[PermutationSpec]
-) -> VarianceEstimate:
-    """Plain average of one series' raw shuffle estimates over several permutations.
+def average_shuffle(y, design: DesignSchedule, perm_list: Sequence[PermutationSpec]):
+    """Plain average of the raw shuffle estimates over several permutations.
 
-    Clamping and the explainable-variance plug-in are applied once, to the
-    averaged raw estimate.
+    ``y`` is a series or a T x S matrix of series; each series' raw
+    estimates are averaged as one 1-D ``np.mean``.  Clamping and the
+    explainable-variance plug-in are applied once, to the averaged raw
+    estimate.
     """
     if not perm_list:
         raise ValueError("need at least one permutation")
-    parts = [shuffle_estimate(y, design, p) for p in perm_list]
-    raw = float(np.mean([e.sigma2_A_raw for e in parts]))
-    mean_alpha = float(np.mean([e.alpha for e in parts]))
-    return _finish("shuffle_avg", raw, parts[0].total, alpha=mean_alpha)
+    Y = _columns(y, design)
+    parts = [shuffle_estimate(Y, design, p) for p in perm_list]
+    raw = np.array([[e.sigma2_A_raw for e in part] for part in parts]).T.copy()
+    mean_alpha = float(np.mean([part[0].alpha for part in parts]))
+    fits = [
+        _finish("shuffle_avg", float(np.mean(r)), e.total, alpha=mean_alpha)
+        for r, e in zip(raw, parts[0])
+    ]
+    return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
 def check_estimator(name: str) -> None:

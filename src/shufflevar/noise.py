@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack, toeplitz
 
 from .design import DesignSchedule, MissingBlocks
 from .permutations import contrast_trace
@@ -31,6 +30,17 @@ class FactorizationFailure(RuntimeError):
     """Covariance is not positive semi-definite even after diagonal jitter."""
 
 
+def _toeplitz(first: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first column ``first``.
+
+    Copied from a strided view of ``[first[:0:-1], first]``, so no T x T index
+    array is formed; the values are those of ``scipy.linalg.toeplitz``.
+    """
+    first = np.asarray(first, dtype=float)
+    vals = np.concatenate([first[:0:-1], first])
+    return np.lib.stride_tricks.sliding_window_view(vals, len(first))[::-1].copy()
+
+
 def cov_exp_nugget(T: int, lam1: float, lam2: float) -> np.ndarray:
     """Stationary correlation with exponential decay and a nugget.
 
@@ -38,7 +48,7 @@ def cov_exp_nugget(T: int, lam1: float, lam2: float) -> np.ndarray:
     exactly 1.  ``lam1`` is the correlated share of the noise variance,
     ``lam2`` the decay length in time slots.
     """
-    return toeplitz(CovarianceModel.exp_nugget(lam1, lam2).autocorrelations(T))
+    return _toeplitz(CovarianceModel.exp_nugget(lam1, lam2).autocorrelations(T))
 
 
 def cov_block(
@@ -76,25 +86,27 @@ def ar_autocorrelations(coefficients: Sequence[float], n_lags: int) -> np.ndarra
     if np.abs(np.linalg.eigvals(companion)).max() >= 1.0:
         raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
 
-    # Linear system for rho_1..rho_p: rho_k = sum_j a_j rho_{|k-j|}, rho_0 = 1.
-    M = np.eye(p)
-    b = np.zeros(p)
-    for k in range(1, p + 1):
-        for j in range(1, p + 1):
-            lag = abs(k - j)
-            if lag == 0:
-                b[k - 1] += a[j - 1]
-            else:
-                M[k - 1, lag - 1] -= a[j - 1]
-    rho[1 : p + 1] = np.linalg.solve(M, b)
+    rho[1 : p + 1] = np.linalg.solve(_yule_walker(a), a)
     for k in range(p + 1, len(rho)):
         rho[k] = np.dot(a, rho[k - p : k][::-1])
     return rho[:n_lags]
 
 
+def _yule_walker(a: np.ndarray) -> np.ndarray:
+    """Matrix Y of the system ``Y rho = a`` for rho_1..rho_p, from
+    ``rho_k = sum_j a_j rho_{|k-j|}`` with rho_0 = 1 moved to the right."""
+    p = len(a)
+    Y = np.eye(p)
+    for k in range(1, p + 1):
+        for j in range(1, p + 1):
+            if k != j:
+                Y[k - 1, abs(k - j) - 1] -= a[j - 1]
+    return Y
+
+
 def cov_ar(T: int, coefficients: Sequence[float]) -> np.ndarray:
     """Stationary AR correlation matrix (unit diagonal) of size T."""
-    return toeplitz(ar_autocorrelations(coefficients, T))
+    return _toeplitz(ar_autocorrelations(coefficients, T))
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ class CovarianceModel:
     def materialize(self, design: DesignSchedule) -> np.ndarray:
         if self.family == "block":
             return cov_block(design, *self.params)
-        return toeplitz(self.autocorrelations(design.T))
+        return _toeplitz(self.autocorrelations(design.T))
 
     def autocorrelations(self, T: int) -> np.ndarray:
         """``rho_0..rho_{T-1}`` of a stationary family (iid, exp_nugget, ar).
@@ -152,12 +164,14 @@ class CovarianceModel:
         rho[0] = 1.0
         return rho
 
-    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float]:
-        """``(Sigma^-1 B, log det Sigma)`` for a T x k ``B``, in O(T k).
+    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
+        """``(Sigma^-1 B, log det Sigma, M^-1 B)`` for a T x k ``B``, in O(T k).
 
-        Sigma is never formed: ``iid`` returns ``(B, 0)``, and ``exp_nugget``
-        and ``ar`` have banded precision matrices (see
+        Sigma is never formed: ``iid`` returns ``(B, 0, None)``, and
+        ``exp_nugget`` and ``ar`` have banded precision matrices (see
         :func:`_exp_nugget_precision_solve` and :func:`_ar_precision_solve`).
+        ``M^-1 B`` is the tridiagonal solve inside ``exp_nugget``'s, which its
+        :meth:`precision_derivatives` reuse; it is None for the other families.
 
         Raises :class:`NonStationary` for non-stationary AR coefficients,
         ``np.linalg.LinAlgError`` where a factor is not positive definite,
@@ -165,11 +179,32 @@ class CovarianceModel:
         """
         B = np.asarray(B, dtype=float)
         if self.family == "iid":
-            return B, 0.0
+            return B, 0.0, None
         if self.family == "exp_nugget":
             return _exp_nugget_precision_solve(B, *self.params)
         if self.family == "ar":
-            return _ar_precision_solve(B, self.params)
+            return _ar_precision_solve(B, self.params) + (None,)
+        raise ValueError(f"no structured precision for covariance family {self.family!r}")
+
+    def precision_derivatives(
+        self, U: np.ndarray, SU: np.ndarray, MU: Optional[np.ndarray], V: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Derivatives in the free parameters p, in O(T k) for T x k U and V.
+
+        The free parameters are ``(logit lam1, log lam2)`` for
+        ``exp_nugget``, the coefficients for ``ar`` and none for ``iid``.
+        Given ``SU = Sigma^-1 U`` and ``MU = M^-1 U`` (as
+        :meth:`precision_solve` gives them), returns
+        ``dlogdet[j] = d log det Sigma / dp_j`` and
+        ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 V_i``, summed
+        over the column pairs.
+        """
+        if self.family == "iid":
+            return np.zeros(0), np.zeros(0)
+        if self.family == "exp_nugget":
+            return _exp_nugget_precision_derivatives(SU, MU, V, *self.params)
+        if self.family == "ar":
+            return _ar_precision_derivatives(U, V, self.params)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
 
 
@@ -185,6 +220,8 @@ def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
     ``r- = -eps c / r+``, ``s = sqrt(eps^2 + 4 eps c)``, so
     ``w_k = (r_k - r+) / (r_k - r-)`` is geometric with ratio
     ``(c + r-) / (c + r+)`` and the recurrence has a closed form.
+
+    Returns the pivots and ``r_1..r_{T-1}``.
     """
     s = math.sqrt(eps * eps + 4.0 * eps * c)
     r_plus = 0.5 * (eps + s)
@@ -195,7 +232,35 @@ def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
     r = r_plus + w * s / (1.0 - w)
     pivots = c + np.append(r, 0.0)
     pivots[-1] = eps + b + c * r[-1] / (c + r[-1])
-    return pivots
+    return pivots, r
+
+
+def _tridiagonal_inverse_bands(c: float, eps: float, b: float, pivots, r):
+    """Diagonal and first off-diagonal of the inverse of the matrix of
+    :func:`_tridiagonal_pivots`, in O(T).
+
+    Eliminating from both ends gives ``(M^-1)_kk = 1 / (eps + b_k + l_k + l'_k)``
+    with ``b_k = b`` at the two ends and 0 elsewhere, ``l_1 = 0``,
+    ``l_k = c r_{k-1} / (c + r_{k-1})`` what elimination from the top adds
+    to slot k, and ``l'`` the same from the bottom, which is l reversed (M is
+    persymmetric).  Every term is nonnegative, so nothing cancels.  Above the
+    diagonal, ``(M^-1)_{k,k+1} = c (M^-1)_{k+1,k+1} / p_k``.
+    """
+    left = np.concatenate([[0.0], c * r / (c + r)])
+    rest = eps + left + left[::-1]
+    rest[[0, -1]] += b
+    diag = 1.0 / rest
+    return diag, c * diag[1:] / pivots[:-1]
+
+
+def _dot(P: np.ndarray, Q: np.ndarray) -> float:
+    """``sum_ij P_ij Q_ij``."""
+    return float(np.einsum("ij,ij->", P, Q))
+
+
+def _d_form(P: np.ndarray, Q: np.ndarray) -> float:
+    """``sum_i P_i' D Q_i`` for ``D = diag(1, 2, ..., 2, 1)``."""
+    return 2.0 * _dot(P, Q) - float(P[0] @ Q[0] + P[-1] @ Q[-1])
 
 
 def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
@@ -213,28 +278,83 @@ def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
     first rounds A's smallest eigenvalue (about delta / T, along the
     constant vector) to absolute precision, which costs digits once
     ``lam2 >> T``; the second loses about ``lam1 delta / nu`` instead.
+    ``M^-1 B`` is returned too: the second form solves for it, and the first
+    gives it as ``(B - nu Sigma^-1 B) / (lam1 delta)``, which then loses at
+    most a factor ``1 + 4 nu / (lam1 delta) <= 5``.
     """
+    from scipy.linalg import lapack
+
     T = B.shape[0]
     u = -math.expm1(-1.0 / lam2)
     phi = 1.0 - u
     delta = -math.expm1(-2.0 / lam2)
     nu = 1.0 - lam1
     c = nu * phi
-    pivots = _tridiagonal_pivots(c, nu * u * u + lam1 * delta, c * u, T)
+    pivots, _ = _tridiagonal_pivots(c, nu * u * u + lam1 * delta, c * u, T)
     logdet = float(np.sum(np.log(pivots))) - math.log(delta)
     if lam1 * delta < nu:
-        Y, _ = lapack.dpttrs(pivots, -c / pivots[:-1], B)
-        Y *= -lam1 * delta
+        MB, _ = lapack.dpttrs(pivots, -c / pivots[:-1], B)
+        Y = MB * (-lam1 * delta)
         Y += B
         Y /= nu
-        return Y, logdet
+        return Y, logdet, MB
     dB = np.diff(B, axis=0)
     AB = (u * u) * B
     AB[:-1] -= phi * dB
     AB[1:] += phi * dB
     AB[[0, -1]] += (phi * u) * B[[0, -1]]
     Y, _ = lapack.dpttrs(pivots, -c / pivots[:-1], AB)
-    return Y, logdet
+    return Y, logdet, (B - nu * Y) / (lam1 * delta)
+
+
+def _exp_nugget_precision_derivatives(SU, MU, V, lam1: float, lam2: float):
+    """:meth:`CovarianceModel.precision_derivatives` for ``exp_nugget``.
+
+    With A, M, u, phi, delta and nu of :func:`_exp_nugget_precision_solve`
+    (``Sigma = A^-1 M``; A, M, K and Sigma commute), L the path Laplacian
+    and ``D = diag(1, 2, ..., 2, 1)``:
+
+    - ``dSigma/dlam1 = K - I`` and ``delta I - A = phi (u D - L)``, so
+      ``Sigma^-1 (K - I) Sigma^-1 = phi Sigma^-1 (u D - L) M^-1`` and
+      ``tr(Sigma^-1 (K - I)) = (delta tr M^-1 - T) / nu``;
+    - ``dSigma/dphi = -lam1 K d(K^-1)/dphi K`` with
+      ``delta^2 d(K^-1)/dphi = J = (1 + phi^2) L - u^2 D``, so
+      ``Sigma^-1 (dSigma/dphi) Sigma^-1 = -lam1 M^-1 J M^-1``, and
+      ``d log det Sigma/dphi = tr(M^-1 dM/dphi) + 2 phi / delta`` with
+      ``dM/dphi = nu dA/dphi - 2 phi lam1 I``.
+
+    Forms in L are sums over differences of neighbouring rows, which lose
+    nothing to cancellation on slowly varying columns, and the traces of
+    M^-1 come from its bands (:func:`_tridiagonal_inverse_bands`).  One
+    banded solve gives ``M^-1 V``.  The chain rule uses
+    ``dlam1/dlogit lam1 = lam1 nu`` and ``dphi/dlog lam2 = phi / lam2``.
+    """
+    from scipy.linalg import lapack
+
+    T = V.shape[0]
+    u = -math.expm1(-1.0 / lam2)
+    phi = 1.0 - u
+    delta = -math.expm1(-2.0 / lam2)
+    nu = 1.0 - lam1
+    c = nu * phi
+    eps, b = nu * u * u + lam1 * delta, c * u
+    pivots, r = _tridiagonal_pivots(c, eps, b, T)
+    MV, _ = lapack.dpttrs(pivots, -c / pivots[:-1], V)
+    dMV = np.diff(MV, axis=0)
+    dphi = phi / lam2
+    # The L forms summed by parts: P'L Q = sum of products of row differences.
+    forms = np.array([
+        lam1 * nu * phi * (u * _d_form(SU, MV) - _dot(np.diff(SU, axis=0), dMV)),
+        -lam1 * dphi * ((1.0 + phi * phi) * _dot(np.diff(MU, axis=0), dMV) - (u * u) * _d_form(MU, MV)),
+    ])
+    inv_diag, inv_off = _tridiagonal_inverse_bands(c, eps, b, pivots, r)
+    tr_inv = float(inv_diag.sum())
+    tr_dA = 2.0 * phi * float(inv_diag[1:-1].sum()) - 2.0 * float(inv_off.sum())
+    dlogdet = np.array([
+        lam1 * (delta * tr_inv - T),
+        dphi * (nu * tr_dA - 2.0 * phi * lam1 * tr_inv + 2.0 * phi / delta),
+    ])
+    return dlogdet, forms
 
 
 def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
@@ -247,6 +367,8 @@ def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
         Sigma^-1 = E' R^-1 E + F'F / s2,
         log det Sigma = log det R + (T - p) log s2.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     T = B.shape[0]
     a = np.asarray(coefficients, dtype=float)
     p = len(a)
@@ -255,7 +377,7 @@ def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
     if not s2 > 0:
         raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
     head = min(p, T)
-    factor = cho_factor(toeplitz(rho[:head]), lower=True, check_finite=False)
+    factor = cho_factor(_toeplitz(rho[:head]), lower=True, check_finite=False)
     out = np.zeros_like(B)
     out[:head] = cho_solve(factor, B[:head], check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
@@ -269,6 +391,46 @@ def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
             out[p - k : T - k] -= a[k - 1] * FB
         logdet += (T - p) * math.log(s2)
     return out, logdet
+
+
+def _ar_precision_derivatives(U: np.ndarray, V: np.ndarray, coefficients: Sequence[float]):
+    """:meth:`CovarianceModel.precision_derivatives` for ``ar``, T > p.
+
+    In ``Sigma^-1 = E' R^-1 E + F'F / s2`` (:func:`_ar_precision_solve`) the
+    coefficient a_i enters R and s2 through the autocorrelations, which solve
+    ``Y rho = a`` (:func:`_yule_walker`), so ``Y drho/da = R``; and it enters
+    F as -a_i at lag i.  Hence, banded,
+
+        -dSigma^-1 = E' R^-1 dR R^-1 E - (dF'F + F'dF) / s2 + F'F ds2 / s2^2,
+        d log det Sigma = tr(R^-1 dR) + (T - p) ds2 / s2,
+
+    with ``ds2 = -rho_i - sum_k a_k drho_k``.
+    """
+    T = V.shape[0]
+    a = np.asarray(coefficients, dtype=float)
+    p = len(a)
+    rho = ar_autocorrelations(a, p + 1)
+    s2 = 1.0 - float(a @ rho[1:])
+    R = _toeplitz(rho[:p])
+    drho = np.linalg.solve(_yule_walker(a), R)  # [k - 1, i - 1] = drho_k / da_i
+    ds2 = -rho[1:] - a @ drho
+    R_inv = np.linalg.inv(R)
+    FV = V[p:].copy()
+    for k in range(1, p + 1):
+        FV -= a[k - 1] * V[p - k : T - k]
+    dlogdet, forms = np.empty(p), np.empty(p)
+    for i in range(1, p + 1):
+        dR = R_inv @ _toeplitz(np.concatenate([[0.0], drho[: p - 1, i - 1]]))
+        dlogdet[i - 1] = np.trace(dR) + (T - p) * ds2[i - 1] / s2
+        NV = np.zeros_like(V)
+        NV[:p] = dR @ (R_inv @ V[:p])
+        G = V[p - i : T - i] / s2 + FV * (ds2[i - 1] / s2**2)
+        NV[p:] += G
+        for k in range(1, p + 1):
+            NV[p - k : T - k] -= a[k - 1] * G
+        NV[p - i : T - i] += FV / s2
+        forms[i - 1] = _dot(U, NV)
+    return dlogdet, forms
 
 
 @dataclass(frozen=True)
@@ -300,9 +462,13 @@ def stationary_noise_level(
 ) -> float:
     """:func:`noise_level` of a stationary ``model`` in O(m n^2 + T), no T x T matrix.
 
-    With autocorrelations rho, ``tr((B - G) Sigma) = sum_k (W_k / n - c_k / T) rho_k``:
-    W_k counts ordered same-stimulus slot pairs at lag k, and ``c_0 = T``,
-    ``c_k = 2 (T - k)`` count all ordered pairs at lag k.
+    With autocorrelations rho, ``tr((B - G) Sigma) = sum_k w_k rho_k`` with
+    ``w_k = W_k / n - c_k / T``: W_k counts ordered same-stimulus slot pairs
+    at lag k, and ``c_0 = T``, ``c_k = 2 (T - k)`` count all ordered pairs at
+    lag k.  The contrast removes constants, so ``sum_k w_k = 0`` and for
+    ``exp_nugget`` (``rho_k = lam1 exp(-k / lam2)``, k >= 1) the trace is
+    ``w_0 (1 - lam1) + lam1 sum_{k>=1} w_k expm1(-k / lam2)``, which keeps
+    its digits as lam1 -> 1 and lam2 -> inf, where the plain sum cancels.
     """
     T, m, n = design.T, design.m, design.n
     slots = design.stimulus_groups()
@@ -310,10 +476,15 @@ def stationary_noise_level(
     W[0] = T
     for j in range(1, n):
         W += 2 * np.bincount((slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
-    c = 2.0 * np.arange(T, 0, -1)
+    c = 2 * np.arange(T, 0, -1)
     c[0] = T
-    rho = model.autocorrelations(T)
-    trace = float(W @ rho) / n - float(c @ rho) / T
+    rho = model.autocorrelations(T)  # also checks the parameters
+    if model.family == "exp_nugget":
+        lam1, lam2 = model.params
+        w = (T * W - n * c) / (n * T)  # exact integers over n T
+        trace = w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
+    else:
+        trace = float(W @ rho) / n - float(c @ rho) / T
     return sigma2_eps * trace / ((m - 1) * n)
 
 

@@ -58,7 +58,9 @@ class SweepConfig:
     lam1: float = 0.7
     lam2: float = 30.0
     sigma2_eps: float = 1.0
-    # REML options
+    # REML options (see reml_estimate): the optimizer starts, each start's
+    # cap on objective-and-score calls, and the convergence tolerance on
+    # the score's largest component
     reml_family: str = "exp_nugget"
     reml_starts: int = 5
     reml_max_evals: int = 2000

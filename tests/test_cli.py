@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shufflevar
 from shufflevar import build_design, mom_estimate, shuffle_estimate
 from shufflevar.cli import _sweep_config_from_ini, main
 from shufflevar.io import write_dataset
@@ -295,3 +300,13 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported where REML's banded solves run, not by the package:
+    # estimate and simulate without REML never load it.
+    src = str(Path(shufflevar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, shufflevar, shufflevar.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -194,6 +194,18 @@ class TestAverageShuffle:
         avg = average_shuffle(y, d, perms)
         assert avg.sigma2_A_raw == pytest.approx(np.mean(parts), rel=1e-12)
 
+    def test_matrix_columns_match_series(self):
+        # Eleven permutations: more than numpy's pairwise-summation block of
+        # eight, so a column-wise mean in another order would show.
+        rng = np.random.default_rng(8)
+        d = make_random_schedule(12, 4, rng)
+        Y = rng.standard_normal((d.T, 5))
+        perms = [reverse_perm(d.T)] + [cyclic_shift(d.T, k) for k in range(1, 11)]
+        got = average_shuffle(Y, d, perms)
+        assert isinstance(got, tuple) and len(got) == Y.shape[1]
+        for j, est in enumerate(got):
+            assert est == average_shuffle(Y[:, j], d, perms)
+
     def test_clamp_applied_once(self):
         # individual raws may be negative; only the averaged raw is clamped
         rng = np.random.default_rng(6)

@@ -7,7 +7,10 @@ columns of one T x S matrix:
         --estimators shuffle,mom,reml:iid -o golden_estimates.csv
     shufflevar simulate --config golden_<kind>.ini -o golden_<kind>.csv
 
-Every non-comment line must still come out byte for byte the same.
+Every non-comment line must still come out byte for byte the same.  The
+REML lines (``reml:*``) were rewritten by the same commands when the
+Nelder-Mead search gave way to L-BFGS on the analytic score; every other
+line is as first written.
 """
 
 from pathlib import Path

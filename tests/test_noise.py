@@ -193,6 +193,38 @@ class TestStationaryNoiseLevel:
                 want, rel=1e-10, abs=0
             ), (model, m, n)
 
+    @pytest.mark.parametrize(
+        "lam1, lam2",
+        [
+            # the degenerate REML fit of series 28 of the reml-fit benchmark at seed 6
+            (1.0 - 1.65e-8, 1.45e10),
+            (0.7, 30.0),
+        ],
+    )
+    def test_exp_nugget_against_high_precision(self, lam1, lam2):
+        # The reml-fit benchmark's seed-6 schedule (m=36, n=6).  The trace
+        # sum_k w_k rho_k is summed at 60 digits from lag counts taken from
+        # the dense same-stimulus matrix.  Tolerance 1e-12 relative, fixed
+        # before the run: the plain lag sum cancels about 8 digits here.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng((6, 3))
+        h = rng.permutation(np.repeat(np.arange(36), 6))
+        d = build_design([f"s{j:03d}" for j in h])
+        T, m, n = d.T, d.m, d.n
+        lag = np.abs(np.subtract.outer(np.arange(T), np.arange(T)))
+        W = np.bincount(lag[np.equal.outer(h, h)], minlength=T)
+        counts = np.bincount(lag.ravel(), minlength=T)
+        with mpmath.workdps(60):
+            l1, l2 = mpmath.mpf(lam1), mpmath.mpf(lam2)
+            trace = sum(
+                (mpmath.mpf(int(W[k])) / n - mpmath.mpf(int(counts[k])) / T)
+                * (1 if k == 0 else l1 * mpmath.exp(-k / l2))
+                for k in range(T)
+            )
+            want = float(trace / ((m - 1) * n))
+        got = stationary_noise_level(CovarianceModel.exp_nugget(lam1, lam2), d)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_materialize_is_toeplitz_of_autocorrelations(self):
         model = CovarianceModel.ar([0.5, -0.2])
         d = build_design(["a", "b"] * 5)

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.optimize import OptimizeResult
 
 from shufflevar import (
     CovarianceModel,
@@ -119,6 +118,70 @@ class TestStructuredObjective:
         assert fit.log_restricted_likelihood == pytest.approx(
             dense_restricted_loglik(y, d, fit), rel=self.RTOL
         )
+
+
+class TestScore:
+    """The analytic score against central differences of the dense objective.
+
+    100 seeded points per family where the objective is finite, drawn
+    as in :class:`TestStructuredObjective` (exp_nugget: lam1 uniform
+    in (1e-6, 1 - 1e-6), lam2 log-uniform in [0.1, 1e10]; ar: stationary
+    points only).  Step h = 1e-5; each component must agree to
+    ``1e-4 * (1 + |central difference|)``, a bound fixed before this test
+    first ran from the difference's own error (truncation h^2 f^(3) / 6,
+    large near a unit root, and rounding about 1e-16 |f| cond(V) / h).
+    """
+
+    H = 1e-5
+    TOL = 1e-4
+    COUNT = 100
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        d = make_random_schedule(24, 4, np.random.default_rng(3))
+        y, _ = sample_experiment(
+            d, 0.4, CovarianceModel.exp_nugget(0.6, 8.0), 1.0, seed=substream(50, 0)
+        )
+        return d, y
+
+    @pytest.mark.parametrize(
+        "family, order",
+        [("iid", 1), ("exp_nugget", 1), ("ar", 1), ("ar", 2), ("ar", 3)],
+    )
+    def test_matches_central_differences(self, data, family, order):
+        d, y = data
+        problem = _RemlProblem(y, d, family, order)
+        rng = np.random.default_rng(10 + order)
+        checked = 0
+        for x in TestStructuredObjective()._points(family, order, rng, 10**4):
+            f, score = problem.objective_and_score(x)
+            if f >= _BIG:
+                continue
+            assert f == problem.objective(x)
+            fd = np.empty(len(x))
+            for j in range(len(x)):
+                step = np.zeros(len(x))
+                step[j] = self.H
+                ends = [dense_objective(problem, d, y, x + sign * step) for sign in (1, -1)]
+                fd[j] = (ends[0] - ends[1]) / (2 * self.H)
+            if not np.all(np.isfinite(fd)):
+                continue  # a step left the stationary region
+            assert np.all(np.abs(score - fd) <= self.TOL * (1 + np.abs(fd))), (x, score, fd)
+            checked += 1
+            if checked == self.COUNT:
+                break
+        assert checked == self.COUNT
+
+    @pytest.mark.parametrize(
+        "x", [[0.0, 0.0, 800.0], [0.0, -800.0, 1.0], [0.0, 1.0, -800.0]]
+    )
+    def test_out_of_range_point_is_infinite(self, data, x):
+        # exp overflows (lam2 = e^800, lam1 = 1 / (1 + e^800)) or underflows
+        # (lam2 = 0); a line search can reach such points.
+        d, y = data
+        problem = _RemlProblem(y, d, "exp_nugget", 1)
+        assert problem.objective_and_score(np.array(x)) == (_BIG, None)
+        assert problem.objective(np.array(x)) == _BIG
 
 
 class TestIidEquivalence:
@@ -267,10 +330,10 @@ class TestConvergedTie:
     def _fit(self, monkeypatch, design, gap):
         f = 966.7316669777941
         results = iter([
-            OptimizeResult(x=self.X_CONVERGED, fun=f, success=True, nfev=40),
-            OptimizeResult(x=self.X_BUDGET, fun=f - gap, success=False, nfev=600),
+            reml_module._Start(x=self.X_CONVERGED, fun=f, success=True, nfev=40),
+            reml_module._Start(x=self.X_BUDGET, fun=f - gap, success=False, nfev=600),
         ])
-        monkeypatch.setattr(reml_module, "minimize", lambda *a, **k: next(results))
+        monkeypatch.setattr(reml_module, "_lbfgs", lambda *a, **k: next(results))
         y, _ = sample_experiment(
             design, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(43, 0)
         )

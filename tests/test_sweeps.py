@@ -205,8 +205,8 @@ class TestRemlComparison:
         )
 
     def test_non_converged_fits_left_out_of_summary(self):
-        # Five evaluations cannot finish an exp-nugget simplex (four points),
-        # so every fit stops on its budget and none may enter the summary.
+        # Five objective-and-score calls cannot finish an exp-nugget L-BFGS
+        # start, so every fit stops on its budget and none may enter the summary.
         cfg = replace(SMALL_TS, replicates=4, reml_starts=1, reml_max_evals=5)
         res = run_reml_comparison(cfg)
         reml_rows = [r for r in res.rows if r.estimator == "reml"]
