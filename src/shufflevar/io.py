@@ -3,8 +3,18 @@
 Dataset layout: plain CSV with a header.  The first columns are ``t``
 (1-based slot), ``stimulus`` and optionally ``block``; every remaining
 column is one measurement series.  Lines starting with ``#`` are
-provenance comments and are skipped.  In memory a dataset is its design,
-the series names and a T x S matrix with one column per series.
+provenance comments and are skipped, as are blank lines.  In memory a
+dataset is its design, the series names and a T x S matrix with one column
+per series.
+
+Grammar (numpy's C tokenizer, one ``np.loadtxt`` call over the data lines):
+one record per line, fields separated by ``,``.  A field may be quoted with
+``"``, a quote inside it doubled (``""``), as the csv module writes it; a
+quoted field must close on its line.  Labels are kept as written, spaces
+included; header names are stripped.  Numbers are ASCII: whitespace around
+them is allowed, underscores (``1_0``) and non-ASCII digits are rejected.
+``nan`` and ``inf`` parse but are rejected as non-finite.  Every row error
+names its file line as ``path:line: reason``.
 """
 
 from __future__ import annotations
@@ -36,21 +46,62 @@ def _float17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _loadtxt(lines, dtype) -> np.ndarray:
+    """The file grammar, in numpy's C tokenizer: one record per line,
+    comma-separated, ``"``-quoted fields with doubled quotes."""
+    return np.loadtxt(
+        lines, dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+    )
+
+
+def _fields(path, lineno: int, line: str) -> List[str]:
+    """The fields of one line, as strings; a quoted field must close on it."""
+    try:
+        fields = _loadtxt([line], object).tolist()
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
+    if any("\n" in f or "\r" in f for f in fields):
+        raise DatasetFormatError(f"{path}:{lineno}: quoted field not closed on its line")
+    return fields
+
+
+def _check_rows(path, rows, row: np.dtype, n_fields: int) -> None:
+    """Raise the error of the first data line that is not one row on its own.
+
+    Runs only once the whole-file parse has failed: it locates the fault and
+    never produces values."""
+    for lineno, line in rows:
+        fields = _fields(path, lineno, line)
+        if len(fields) != n_fields:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        try:
+            _loadtxt([line], row)
+        except ValueError as exc:
+            # numpy's message ends in its own row and column count.
+            reason = str(exc).partition(" at row ")[0]
+            raise DatasetFormatError(f"{path}:{lineno}: {reason}") from None
+
+
 def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
     """Parse a dataset CSV into its design, series names and T x S values."""
-    with open(path, newline="") as fh:
-        lines = [
-            (i + 1, line)
-            for i, line in enumerate(fh)
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+    try:
+        with open(path, newline="") as fh:
+            lines = [
+                (i + 1, line)
+                for i, line in enumerate(fh)
+                if line.strip() and not line.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     if not lines:
         raise DatasetFormatError(f"{path}: no data rows")
-    reader = csv.reader(line for _, line in lines)
-    header = [h.strip() for h in next(reader)]
+    (head_lineno, head), *rows = lines
+    header = [h.strip() for h in _fields(path, head_lineno, head)]
     if len(header) < 3 or header[0] != "t" or header[1] != "stimulus":
         raise DatasetFormatError(
-            f"{path}:{lines[0][0]}: header must start with t,stimulus[,block]"
+            f"{path}:{head_lineno}: header must start with t,stimulus[,block]"
         )
     has_block = header[2] == "block"
     first_series = 3 if has_block else 2
@@ -61,36 +112,45 @@ def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
     series_names = header[first_series:]
     if not series_names:
         raise DatasetFormatError(f"{path}: no series columns after the schedule")
+    if not rows:
+        raise DatasetFormatError(f"{path}: no data rows")
 
-    records = []
-    for (lineno, _), row in zip(lines[1:], reader):
-        if len(row) != len(header):
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            t = int(row[0])
-            vals = [float(v) for v in row[first_series:]]
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
-        block = row[2] if has_block else None
-        records.append((t, row[1], block, vals, lineno))
+    # Labels are Python strings (object), so none is truncated.
+    row = np.dtype([
+        ("t", np.int64),
+        ("labels", object, (first_series - 1,)),
+        ("y", np.float64, (len(series_names),)),
+    ])
+    try:
+        table = _loadtxt([line for _, line in rows], row)
+        if len(table) != len(rows):
+            raise ValueError("a quoted field runs over a line break")
+    except ValueError as exc:
+        _check_rows(path, rows, row, len(header))
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
-    T = len(records)
-    seen = sorted(r[0] for r in records)
-    if seen != list(range(1, T + 1)):
+    t = table["t"]
+    T = len(t)
+    order = np.argsort(t, kind="stable")
+    if not np.array_equal(t[order], np.arange(1, T + 1)):
+        # Name the first line whose t is out of range or repeats an earlier one.
+        seen = set()
+        for (lineno, _), ti in zip(rows, t.tolist()):
+            if not 1 <= ti <= T or ti in seen:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: t column must be a permutation of 1..{T}, got t={ti}"
+                )
+            seen.add(ti)
+    labels = table["labels"][order]
+    design = build_design(
+        labels[:, 0].tolist(), labels[:, 1].tolist() if has_block else None
+    )
+    finite = np.isfinite(table["y"]).all(axis=1)
+    if not finite.all():
         raise DatasetFormatError(
-            f"{path}: t column must be a permutation of 1..{T}"
+            f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite value"
         )
-    records.sort(key=lambda r: r[0])
-    schedule = [r[1] for r in records]
-    blocks = [r[2] for r in records] if has_block else None
-    design = build_design(schedule, blocks)
-    values = np.array([r[3] for r in records], dtype=float)
-    for lineno, col in zip((r[4] for r in records), values):
-        if not np.all(np.isfinite(col)):
-            raise DatasetFormatError(f"{path}:{lineno}: non-finite value")
-    return design, series_names, values
+    return design, series_names, table["y"][order]
 
 
 def write_dataset(
