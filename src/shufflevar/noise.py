@@ -115,7 +115,8 @@ class CovarianceModel:
 
     Use the class methods to construct instances; :meth:`materialize`
     produces the dense matrix for a given design, and the stationary families
-    give :meth:`autocorrelations` and :meth:`precision_solve` without one.
+    give :meth:`autocorrelations`, :meth:`precision_solve` and :meth:`color`
+    without one.
     """
 
     family: str
@@ -156,7 +157,7 @@ class CovarianceModel:
             lam1, lam2 = self.params
             if not 0.0 <= lam1 <= 1.0:
                 raise ValueError(f"lam1 must be in [0, 1], got {lam1}")
-            if lam2 <= 0:
+            if not lam2 > 0:
                 raise ValueError(f"lam2 must be positive, got {lam2}")
             rho = lam1 * np.exp(-np.arange(T) / lam2)
         else:
@@ -185,6 +186,30 @@ class CovarianceModel:
         if self.family == "ar":
             return _ar_precision_solve(B, self.params) + (None,)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
+
+    def color(self, Z: np.ndarray) -> np.ndarray:
+        """``Z @ L'`` for an R x T ``Z``, L the lower Cholesky factor of Sigma, in O(R T).
+
+        Neither Sigma nor L is formed: each row of the result is ``L z`` for
+        the matching row z of Z, so rows of standard normals come out with
+        covariance Sigma.  ``iid`` copies Z (L = I); ``exp_nugget`` and ``ar``
+        run the innovations form of :func:`_exp_nugget_color` and
+        :func:`_ar_color` over t, vectorised across rows.
+
+        Raises :class:`NonStationary` for non-stationary AR coefficients and
+        ``ValueError`` for ``block``, whose covariance needs the design.
+        """
+        Z = np.asarray(Z, dtype=float)
+        if self.family == "iid":
+            return Z.copy()
+        self.autocorrelations(1)  # checks the parameters, and rejects block
+        # Work on the transpose: one contiguous row of R values per time slot.
+        X = np.array(Z.T, order="C")
+        if self.family == "exp_nugget":
+            _exp_nugget_color(X, *self.params)
+        else:
+            _ar_color(X, self.params)
+        return X.T
 
     def precision_derivatives(
         self, U: np.ndarray, SU: np.ndarray, MU: Optional[np.ndarray], V: np.ndarray
@@ -357,6 +382,16 @@ def _exp_nugget_precision_derivatives(SU, MU, V, lam1: float, lam2: float):
     return dlogdet, forms
 
 
+def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``rho_0..rho_p`` and the innovation variance ``s2 = 1 - sum_k a_k rho_k``
+    of stationary AR coefficients a; :class:`NonStationary` unless s2 > 0."""
+    rho = ar_autocorrelations(a, len(a) + 1)
+    s2 = 1.0 - float(a @ rho[1:])
+    if not s2 > 0:
+        raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
+    return rho, s2
+
+
 def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
     """Structured solve for the stationary AR(p) correlation.
 
@@ -372,10 +407,7 @@ def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
     T = B.shape[0]
     a = np.asarray(coefficients, dtype=float)
     p = len(a)
-    rho = ar_autocorrelations(a, p + 1)
-    s2 = 1.0 - float(a @ rho[1:])
-    if not s2 > 0:
-        raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
+    rho, s2 = _ar_innovations(a)
     head = min(p, T)
     factor = cho_factor(_toeplitz(rho[:head]), lower=True, check_finite=False)
     out = np.zeros_like(B)
@@ -409,8 +441,7 @@ def _ar_precision_derivatives(U: np.ndarray, V: np.ndarray, coefficients: Sequen
     T = V.shape[0]
     a = np.asarray(coefficients, dtype=float)
     p = len(a)
-    rho = ar_autocorrelations(a, p + 1)
-    s2 = 1.0 - float(a @ rho[1:])
+    rho, s2 = _ar_innovations(a)
     R = _toeplitz(rho[:p])
     drho = np.linalg.solve(_yule_walker(a), R)  # [k - 1, i - 1] = drho_k / da_i
     ds2 = -rho[1:] - a @ drho
@@ -431,6 +462,70 @@ def _ar_precision_derivatives(U: np.ndarray, V: np.ndarray, coefficients: Sequen
         NV[p - i : T - i] += FV / s2
         forms[i - 1] = _dot(U, NV)
     return dlogdet, forms
+
+
+def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
+    """``X <- L X`` in place for T x R ``X``, L the Cholesky factor of
+    ``Sigma = (1 - lam1) I + lam1 K``, K the AR(1) correlation at
+    ``phi = exp(-1/lam2)``.
+
+    With Phi the AR(1) filter (``(Phi x)_1 = x_1``, ``(Phi x)_t = x_t -
+    phi x_{t-1}``), ``Phi K Phi' = diag(1, delta, ..., delta)`` for
+    ``delta = 1 - phi^2``, so with ``nu = 1 - lam1`` the matrix
+    ``Omega = Phi Sigma Phi' = nu Phi Phi' + lam1 diag(1, delta, ..., delta)``
+    is tridiagonal: diagonal ``1, nu (1 + phi^2) + lam1 delta, ...`` and
+    off-diagonal ``-nu phi``.  Phi^-1 is unit lower triangular, so
+    ``L = Phi^-1 chol(Omega)`` exactly: the innovations form of an ARMA(1,1)
+    process (Brockwell & Davis, *Time Series: Theory and Methods*, 5.3).
+    Omega's LDL' pivots are ``d_t = nu + e_t`` with ``e_1 = lam1`` and the
+    subtraction-free ``e_t = lam1 delta + nu phi^2 e_{t-1} / (nu + e_{t-1})``,
+    and column by column
+
+        x_t = sqrt(d_t) z_t + phi (x_{t-1} - nu z_{t-1} / sqrt(d_{t-1})).
+
+    At nu = 0 the bracket's second term is 0, its limit, so ``Sigma = 11'``
+    (lam1 = 1, lam2 = inf) gives the exact ``x = z_1 1``; at lam1 = 0 the
+    bracket is exactly 0 and ``x = z``.
+    """
+    T = X.shape[0]
+    phi = math.exp(-1.0 / lam2)
+    nu = 1.0 - lam1
+    lam1_delta = -lam1 * math.expm1(-2.0 / lam2)
+    d = np.empty(T)
+    e = lam1
+    for t in range(T):
+        d[t] = nu + e
+        e = lam1_delta + (nu * phi * phi * e / (nu + e) if nu > 0 else 0.0)
+    root = np.sqrt(d)
+    G = X[:-1] * (nu / root[:-1, None]) if nu > 0 else np.zeros_like(X[:-1])
+    X *= root[:, None]
+    step = np.empty(X.shape[1])
+    for t in range(1, T):
+        np.subtract(X[t - 1], G[t - 1], out=step)
+        step *= phi
+        X[t] += step
+
+
+def _ar_color(X: np.ndarray, coefficients: Sequence[float]) -> None:
+    """``X <- L X`` in place for T x R ``X``, L the Cholesky factor of the
+    stationary AR(p) correlation.
+
+    In the filter F of :func:`_ar_precision_solve` (the first p slots kept,
+    then one innovation per slot), ``F Sigma F' = diag(R, s2 I)``, and F^-1
+    is unit lower triangular, so ``L = F^-1 diag(chol(R), sqrt(s2) I)``:
+    the first p slots get chol(R), the rest ``sqrt(s2) z_t`` plus the AR
+    recursion ``x_t += sum_k a_k x_{t-k}``.
+    """
+    T = X.shape[0]
+    a = np.asarray(coefficients, dtype=float)
+    p = len(a)
+    rho, s2 = _ar_innovations(a)
+    head = min(p, T)
+    X[:head] = np.linalg.cholesky(_toeplitz(rho[:head])) @ X[:head]
+    X[p:] *= math.sqrt(s2)
+    for t in range(p, T):
+        for k in range(1, p + 1):
+            X[t] += a[k - 1] * X[t - k]
 
 
 @dataclass(frozen=True)

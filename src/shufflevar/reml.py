@@ -175,8 +175,9 @@ class _RemlProblem:
             G, _ = lapack.dtrtrs(L, W, lower=1, trans=1)  # H^-1 D
             G_ua = np.column_stack([G[:, 0] - beta * G[:, 1], G[:, 1]])
             u_X, a_X = G_ua.T  # X'u, X'a
-            H_inv, _ = lapack.dpotri(L, lower=1)
-            H_inv += np.tril(H_inv, -1).T
+            # Not dpotri: its rounding depends on the BLAS thread count, which
+            # flat fits amplify.  dpotrs on the identity rounds alike at any count.
+            H_inv, _ = lapack.dpotrs(L, np.eye(m), lower=1)
             score = np.empty(len(x))
             score[0] = gamma * (
                 float(np.sum(H_inv * XtZ[:, :m]))

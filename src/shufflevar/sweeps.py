@@ -6,13 +6,15 @@ point, runs the requested estimators per replicate, and aggregates per
 
 Replicate r of grid point gi draws from its own RNG substream keyed by
 (seed, 2, gi, r): the signal effects first, then the noise.  A grid point's
-replicates are stacked as the rows of one R x T matrix, so the time-series
-noise is one matrix product (a level-3 BLAS call) with the Cholesky factor
-of the noise covariance rather than R matrix-vector products.  Each
-estimator then runs once on that matrix's transpose, one column per
-replicate; REML fits replicate r with seed r.  Everything runs on the
-calling thread; ``SweepConfig.threads`` is accepted but no longer changes
-how work runs.
+replicates are stacked as the rows of one R x T matrix.  The time-series
+noise is that matrix of standard normals times the transposed Cholesky
+factor of the noise covariance, applied by
+:meth:`~shufflevar.noise.CovarianceModel.color` in O(R T) with neither the
+T x T covariance nor its factor formed; the truth comes from
+:func:`~shufflevar.noise.stationary_noise_level`.  Each estimator then runs
+once on that matrix's transpose, one column per replicate; REML fits
+replicate r with seed r.  Everything runs on the calling thread;
+``SweepConfig.threads`` is accepted but no longer changes how work runs.
 """
 
 from __future__ import annotations
@@ -26,13 +28,10 @@ import numpy as np
 
 from . import estimators as est
 from .design import DesignSchedule, build_design, treatment_averages
-from .noise import (
-    CovarianceModel,
-    make_truth,
-    noise_level,
-    psd_cholesky,
-    substream,
-)
+from .noise import CovarianceModel, make_truth, stationary_noise_level, substream
+# Not called here any more; kept at these names because the benchmark's
+# tracer (bench/spans.py) still wraps them here.
+from .noise import noise_level, psd_cholesky  # noqa: F401
 from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
 from .reml import AllStartsFailed
 
@@ -72,8 +71,9 @@ class SweepConfig:
         if not self.sigma2_A_grid:
             raise ValueError("signal-variance grid must be nonempty")
         for name in ("sigma2_A_grid", "sigma2_eps", "sigma2_block", "sigma2_unit"):
-            if not np.all(np.asarray(getattr(self, name)) >= 0):
-                raise ValueError(f"{name} must be nonnegative")
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value) & (value >= 0)):
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,8 @@ def run_timeseries_sweep(cfg: SweepConfig) -> SweepResult:
     setup_rng = substream(cfg.seed, 0)
     design = make_random_schedule(cfg.m, cfg.n, setup_rng)
     perm = reverse_perm(design.T)
-    Sigma = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2).materialize(design)
-    level = noise_level(Sigma, design, cfg.sigma2_eps)
-    chol = psd_cholesky(Sigma) * np.sqrt(cfg.sigma2_eps)
+    model = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2)
+    level = stationary_noise_level(model, design, cfg.sigma2_eps)
     h = design.stimulus_index
 
     def sampler(gi, s2A):
@@ -248,8 +247,9 @@ def run_timeseries_sweep(cfg: SweepConfig) -> SweepResult:
             rng = substream(cfg.seed, 2, gi, r)
             E[r] = rng.normal(0.0, np.sqrt(s2A), design.m)
             Z[r] = rng.standard_normal(design.T)
-        # Row r is chol @ Z[r], the noise of replicate r, all in one GEMM.
-        Y = Z @ chol.T
+        # Row r is the noise of replicate r: sqrt(sigma2_eps) L Z[r].
+        Z *= np.sqrt(cfg.sigma2_eps)
+        Y = model.color(Z)
         Y += E[:, h]
         return Y
 
@@ -300,16 +300,12 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
     if cfg.m > cfg.population_size:
         raise ValueError("sample size exceeds population size")
     design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
-    Sigma = cfg.noise.materialize(design)
-    level = noise_level(Sigma, design, cfg.sigma2_eps)
-    chol = psd_cholesky(Sigma) * np.sqrt(cfg.sigma2_eps)
-    truth = make_truth(cfg.sigma2_A, level)
-    h = design.stimulus_index
+    truth = make_truth(cfg.sigma2_A, stationary_noise_level(cfg.noise, design, cfg.sigma2_eps))
     M = cfg.population_size
 
-    mspe = np.empty(cfg.replicates)
-    corr2 = np.empty(cfg.replicates)
-    mspe_pert = np.empty(cfg.replicates)
+    effects = np.empty((cfg.replicates, cfg.m))
+    Z = np.empty((cfg.replicates, design.T))
+    perturbed = np.empty((cfg.replicates, cfg.m))
     for r in range(cfg.replicates):
         rng = substream(cfg.seed, 1, r)
         mu = rng.standard_normal(M)
@@ -319,18 +315,25 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
         else:
             mu[:] = 0.0
         sample = rng.choice(M, size=cfg.m, replace=False)
-        effects = mu[sample]
-        y = effects[h] + chol @ rng.standard_normal(design.T)
-        avgs = treatment_averages(y, design)
+        effects[r] = mu[sample]
+        Z[r] = rng.standard_normal(design.T)
+        perturbed[r] = effects[r] + rng.normal(0.0, cfg.perturbation_sd, cfg.m)
+    Z *= np.sqrt(cfg.sigma2_eps)
+    Y = cfg.noise.color(Z)
+    Y += effects[:, design.stimulus_index]
+    averages = treatment_averages(Y.T, design).T
 
-        resid = effects - avgs
+    mspe = np.empty(cfg.replicates)
+    corr2 = np.empty(cfg.replicates)
+    mspe_pert = np.empty(cfg.replicates)
+    for r, (eff, pert, avgs) in enumerate(zip(effects, perturbed, averages)):
+        resid = eff - avgs
         mspe[r] = np.sum(resid**2) / (cfg.m - 1)
-        if np.std(effects) > 0 and np.std(avgs) > 0:
-            corr2[r] = np.corrcoef(effects, avgs)[0, 1] ** 2
+        if np.std(eff) > 0 and np.std(avgs) > 0:
+            corr2[r] = np.corrcoef(eff, avgs)[0, 1] ** 2
         else:
             corr2[r] = 0.0
-        perturbed = effects + rng.normal(0.0, cfg.perturbation_sd, cfg.m)
-        mspe_pert[r] = np.sum((perturbed - avgs) ** 2) / (cfg.m - 1)
+        mspe_pert[r] = np.sum((pert - avgs) ** 2) / (cfg.m - 1)
 
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))

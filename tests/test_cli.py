@@ -236,6 +236,9 @@ class TestSimulate:
         [
             ("kind = timeseries\nreplicate = 2\n", "error: unknown key 'replicate' in [sweep]"),
             ("kind = timeserie\nreplicates = 2\n", "error: unknown sweep kind 'timeserie'"),
+            ("kind = timeseries\nsigma2_eps = inf\n", "error: sigma2_eps must be finite"),
+            ("kind = block\nsigma2_block = inf\n", "error: sigma2_block must be finite"),
+            ("kind = reml\nsigma2_A_grid = 0.0, inf\n", "error: sigma2_A_grid must be finite"),
         ],
     )
     def test_bad_config_exits_before_any_sampling(

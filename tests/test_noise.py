@@ -13,6 +13,7 @@ from shufflevar import (
     sample_experiment,
 )
 from shufflevar.noise import (
+    _toeplitz,
     ar_autocorrelations,
     make_truth,
     psd_cholesky,
@@ -49,6 +50,8 @@ class TestExpNugget:
             cov_exp_nugget(5, 1.2, 3.0)
         with pytest.raises(ValueError):
             cov_exp_nugget(5, 0.5, 0.0)
+        with pytest.raises(ValueError, match="lam2"):
+            cov_exp_nugget(5, 0.5, float("nan"))
 
 
 class TestBlockCovariance:
@@ -234,6 +237,94 @@ class TestStationaryNoiseLevel:
     def test_block_has_no_autocorrelations(self):
         with pytest.raises(ValueError):
             CovarianceModel.block(0.5, 0.7).autocorrelations(8)
+
+
+class TestColor:
+    """``CovarianceModel.color`` against the dense Cholesky factor.
+
+    Bounds fixed before the first run, for a unit-diagonal Sigma and EPS the
+    unit roundoff of float64:
+    - backward: ``max |L L' - Sigma| <= (T + 1) EPS``, the Cholesky backward
+      bound ``gamma_{T+1} |L| |L'|`` with ``|L| |L'| <= 1`` entrywise;
+    - forward: ``max |Z L' - Z L_dense'| <= (T + 1) EPS kappa max |Z|``, the
+      first-order perturbation of the factor by both backward errors, with
+      kappa an upper bound on Sigma's condition number from the spectral
+      density (Toeplitz eigenvalues lie within its range).
+    L itself is ``color(I)'``, so it must be exactly lower triangular.
+    """
+
+    EPS = np.finfo(float).eps
+
+    def _models(self, family, rng, count):
+        """(model, kappa bound): lam1 uniform on (0, 1) and lam2 log-uniform
+        on [0.1, 1e4]; AR coefficients with sum |a_k| < 1, so stationary."""
+        for _ in range(count):
+            if family == "iid":
+                yield CovarianceModel.iid(), 1.0
+            elif family == "exp_nugget":
+                lam1, lam2 = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-1.0, 4.0)
+                phi, nu = np.exp(-1.0 / lam2), 1.0 - lam1
+                spread = (1.0 + phi) / (1.0 - phi)
+                yield CovarianceModel.exp_nugget(lam1, lam2), (nu + lam1 * spread) / (nu + lam1 / spread)
+            else:
+                p = int(family[-1])
+                a = rng.choice([-1.0, 1.0], p) * rng.dirichlet(np.ones(p)) * rng.uniform(0.0, 0.95)
+                s = np.abs(a).sum()
+                yield CovarianceModel.ar(a), ((1.0 + s) / (1.0 - s)) ** 2
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 24, 1800])
+    @pytest.mark.parametrize("family", ["iid", "exp_nugget", "ar1", "ar2", "ar3"])
+    def test_matches_dense_factor(self, family, T):
+        rng = np.random.default_rng((T, len(family), int(family[-1]) if family[-1].isdigit() else 0))
+        for model, kappa in self._models(family, rng, 2 if T == 1800 else 25):
+            Sigma = _toeplitz(model.autocorrelations(T))
+            L = model.color(np.eye(T)).T
+            assert np.array_equal(L, np.tril(L)), model
+            assert np.all(np.diag(L) > 0), model
+            assert np.abs(L @ L.T - Sigma).max() <= (T + 1) * self.EPS, model
+            Z = rng.standard_normal((5, T))
+            want = Z @ psd_cholesky(Sigma).T
+            assert np.abs(model.color(Z) - want).max() <= (
+                (T + 1) * self.EPS * kappa * np.abs(Z).max()
+            ), model
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 24])
+    @pytest.mark.parametrize("lam1", [0.0, 1.0])
+    @pytest.mark.parametrize("lam2", [1e-300, np.inf])
+    def test_degenerate_exp_nugget_is_exact(self, lam1, lam2, T):
+        model = CovarianceModel.exp_nugget(lam1, lam2)
+        L = model.color(np.eye(T)).T
+        assert np.array_equal(L @ L.T, _toeplitz(model.autocorrelations(T)))
+        want = np.eye(T)  # Sigma = I ...
+        if lam1 == 1.0 and lam2 == np.inf:  # ... or Sigma = 11', and x = z_1 1
+            want = np.zeros((T, T))
+            want[:, 0] = 1.0
+        assert np.array_equal(L, want)
+
+    def test_rows_are_independent_of_each_other(self):
+        model = CovarianceModel.exp_nugget(0.7, 30.0)
+        Z = np.random.default_rng(0).standard_normal((7, 50))
+        kept = Z.copy()
+        together = model.color(Z)
+        assert np.array_equal(Z, kept)
+        assert np.array_equal(together[3], model.color(Z[3:4])[0])
+        assert np.array_equal(model.color(np.asfortranarray(Z)), together)
+
+    def test_sample_covariance(self):
+        # 20,000 rows at T = 6: each entry of the sample covariance has SE
+        # below sqrt(2 / 20000) = 0.01, so 0.05 is 5 SE.
+        model = CovarianceModel.ar([0.5, -0.3])
+        X = model.color(np.random.default_rng(1).standard_normal((20000, 6)))
+        assert np.abs(X.T @ X / len(X) - _toeplitz(model.autocorrelations(6))).max() < 0.05
+
+    def test_errors(self):
+        Z = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="block"):
+            CovarianceModel.block(0.5, 0.7).color(Z)
+        with pytest.raises(NonStationary):
+            CovarianceModel.ar([1.2]).color(Z)
+        with pytest.raises(ValueError, match="lam1"):
+            CovarianceModel.exp_nugget(1.5, 3.0).color(Z)
 
 
 class TestPsdCholesky:

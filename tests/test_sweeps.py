@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shufflevar.estimators import run_estimator
-from shufflevar.noise import CovarianceModel, psd_cholesky, substream
+from shufflevar.noise import CovarianceModel, noise_level, psd_cholesky, substream
 from shufflevar.permutations import block_random_perm, reverse_perm
 from shufflevar.sweeps import (
     PredictionConfig,
@@ -72,6 +73,22 @@ class TestConfig:
     def test_negative_variance(self, field, value):
         with pytest.raises(ValueError, match="nonnegative"):
             SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["sigma2_A_grid", "sigma2_eps", "sigma2_block", "sigma2_unit"])
+    def test_infinite_variance(self, field):
+        value = (0.0, float("inf")) if field == "sigma2_A_grid" else float("inf")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SweepConfig(**{field: value})
+
+    def test_nan_lam2_rejected(self):
+        with pytest.raises(ValueError, match="lam2"):
+            run_timeseries_sweep(replace(SMALL_TS, lam2=float("nan")))
+
+    def test_infinite_lam2_is_constant_correlation(self):
+        res = run_timeseries_sweep(replace(SMALL_TS, lam2=float("inf"), estimators=("shuffle", "mom")))
+        for row in res.rows:
+            assert (row.n_fail, row.n_reps) == (0, SMALL_TS.replicates)
+            assert np.isfinite([row.mean_sigma2_A, row.sd, row.omega2_true]).all()
 
     def test_block_divisibility(self):
         with pytest.raises(ValueError):
@@ -154,9 +171,10 @@ class TestTimeseriesSweep:
         assert run_timeseries_sweep(SMALL_TS).rows == threaded.rows
 
     def test_matches_per_replicate_oracle(self):
-        # The sweep draws all of a grid point's noise in one matrix product;
-        # only the summation order differs from one mat-vec per replicate.
-        cfg = replace(SMALL_TS, estimators=("shuffle", "mom"))
+        # The sweep colours all of a grid point's noise at once through the
+        # O(T) factor; the oracle multiplies each replicate's normals by the
+        # dense Cholesky factor.
+        cfg = replace(SMALL_TS, estimators=("shuffle", "mom"), sigma2_eps=1.7)
         design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
         Sigma = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2).materialize(design)
         chol = psd_cholesky(Sigma) * np.sqrt(cfg.sigma2_eps)
@@ -170,6 +188,20 @@ class TestTimeseriesSweep:
         np.testing.assert_allclose(
             summaries(run_timeseries_sweep(cfg)), expected, rtol=1e-12, atol=0
         )
+
+
+    def test_no_t_by_t_matrix(self):
+        # T = 4200: one T x T float matrix is 141 MB; the sweep must peak at a
+        # tenth of that.
+        cfg = SweepConfig(m=280, n=15, sigma2_A_grid=(0.0,), replicates=2, seed=1,
+                          estimators=("shuffle", "mom"))
+        tracemalloc.start()
+        try:
+            run_timeseries_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4200**2 * 8 / 10
 
 
 class TestRemlComparison:
@@ -251,6 +283,24 @@ class TestPredictionCheck:
         )
         # a perturbed predictor does strictly worse
         assert out.mean_mspe_perturbed > out.mean_mspe
+
+    def test_correlated_noise_mspe(self):
+        # E[mspe] = sum_j Var(noise average of stimulus j) / (m - 1), from the
+        # dense covariance (0.366 here).  The SE of the mean is about 1% of
+        # it; white noise would sit 9% low and unscaled noise 23% low.
+        cfg = PredictionConfig(
+            population_size=200, m=40, n=4, sigma2_A=0.4, sigma2_eps=1.3,
+            noise=CovarianceModel.exp_nugget(0.7, 5.0), replicates=800, seed=3,
+        )
+        out = run_prediction_check(cfg)
+        design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
+        Sigma = cfg.sigma2_eps * cfg.noise.materialize(design)
+        slots = design.stimulus_groups()
+        want = sum(Sigma[np.ix_(g, g)].sum() for g in slots) / cfg.n**2 / (cfg.m - 1)
+        assert abs(out.mean_mspe - want) <= 4 * out.se_mspe
+        assert out.noise_level_true == pytest.approx(
+            noise_level(Sigma, design), rel=1e-12
+        )
 
     def test_sample_larger_than_population(self):
         with pytest.raises(ValueError):
