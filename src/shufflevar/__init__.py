@@ -30,6 +30,7 @@ from .noise import (
     cov_ar,
     cov_block,
     cov_exp_nugget,
+    noise_conservation_gap,
     noise_level,
     sample_experiment,
 )
@@ -41,7 +42,6 @@ from .permutations import (
     cyclic_shift,
     identity_perm,
     is_trivial,
-    noise_conservation_gap,
     odd_even_swap,
     reverse_perm,
 )

@@ -21,7 +21,8 @@ from . import io as sio
 from .design import DesignSchedule, NoReplication, build_design
 from .estimators import TrivialPermutation
 from .permutations import alpha as mixing_alpha
-from .permutations import is_trivial, noise_conservation_gap
+from .noise import noise_conservation_gap
+from .permutations import is_trivial
 from .sweeps import (
     SweepConfig,
     emit_sweep_table,
@@ -101,9 +102,7 @@ def cmd_alpha(args) -> int:
         f"trivial = {'yes' if trivial else 'no'}",
     ]
     if args.noise:
-        model = sio.parse_noise(args.noise)
-        Sigma = model.materialize(design)
-        gap = noise_conservation_gap(Sigma, design, perm)
+        gap = noise_conservation_gap(sio.parse_noise(args.noise), design, perm)
         lines.append(f"noise_conservation_gap = {gap:.12g}")
     _emit(args, lines)
     return 0
@@ -114,19 +113,17 @@ def cmd_diagnose(args) -> int:
     candidates = ["reverse", "shift:1", "block-random"]
     if design.T % 2 == 0:
         candidates.append("odd-even")
-    Sigma = None
+    model = sio.parse_noise(args.noise) if args.noise else None
     lines = [f"T = {design.T}  m = {design.m}  n = {design.n}"]
-    if args.noise:
-        model = sio.parse_noise(args.noise)
-        Sigma = model.materialize(design)
-        diag = est.consistency_diagnostic(Sigma, design.m, design.n)
+    if model is not None:
+        diag = est.consistency_diagnostic(model.materialize(design), design.m, design.n)
         lines.append(f"consistency_diagnostic = {diag:.12g}")
     for spec in candidates:
         perm = sio.parse_permutation(spec, design, seed=args.seed)
         a = mixing_alpha(design, perm)
         line = f"{spec}: alpha = {a:.12g} trivial = {'yes' if is_trivial(perm, design) else 'no'}"
-        if Sigma is not None:
-            gap = noise_conservation_gap(Sigma, design, perm)
+        if model is not None:
+            gap = noise_conservation_gap(model, design, perm)
             line += f" gap = {gap:.12g}"
         lines.append(line)
     _emit(args, lines)

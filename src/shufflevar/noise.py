@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .design import DesignSchedule, MissingBlocks
-from .permutations import contrast_trace
 
 
 class NonStationary(ValueError):
@@ -60,14 +59,20 @@ def cov_block(
     ``sigma2_unit`` on the diagonal.  Note this is a covariance, not a
     unit-diagonal correlation.
     """
-    if sigma2_block < 0 or sigma2_unit < 0:
-        raise ValueError("variance components must be nonnegative")
-    if sigma2_block == 0 and sigma2_unit == 0:
-        raise ValueError("at least one variance component must be positive")
-    if not design.has_blocks:
-        raise MissingBlocks("block covariance requires explicit block labels")
+    _check_block(design, sigma2_block, sigma2_unit)
     same = np.equal.outer(design.block_index, design.block_index)
     return sigma2_block * same.astype(float) + sigma2_unit * np.eye(design.T)
+
+
+def _check_block(design: DesignSchedule, sigma2_block: float, sigma2_unit: float) -> None:
+    """The block family's parameter checks, for :func:`cov_block` and :func:`noise_level`."""
+    got = f"sigma2_block={sigma2_block}, sigma2_unit={sigma2_unit}"
+    if not (0 <= sigma2_block < math.inf and 0 <= sigma2_unit < math.inf):
+        raise ValueError(f"block variances must be finite and nonnegative, got {got}")
+    if sigma2_block == 0 and sigma2_unit == 0:
+        raise ValueError(f"at least one block variance must be positive, got {got}")
+    if not design.has_blocks:
+        raise MissingBlocks("block covariance requires explicit block labels")
 
 
 def ar_autocorrelations(coefficients: Sequence[float], n_lags: int) -> np.ndarray:
@@ -78,6 +83,8 @@ def ar_autocorrelations(coefficients: Sequence[float], n_lags: int) -> np.ndarra
     rho[0] = 1.0
     if p == 0:
         return rho[:n_lags]
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"AR coefficients must be finite, got {a.tolist()}")
 
     companion = np.zeros((p, p))
     companion[0] = a
@@ -539,48 +546,81 @@ class ExperimentTruth:
     degenerate: bool = False
 
 
-def noise_level(Sigma: np.ndarray, design: DesignSchedule, sigma2_eps: float = 1.0) -> float:
-    """Exact expected noise contribution to the between-treatment contrast.
+def _pair_counts(model: CovarianceModel, design: DesignSchedule, perm):
+    """Exact slot-pair counts that ``tr((B - G) P Sigma P')`` depends on, in O(m n^2 + T).
 
-    ``tr((B - G) Sigma) * sigma2_eps / ((m - 1) n)``; reduces to
-    ``sigma2_eps / n`` for white noise.
+    Under the shuffle g of ``perm`` (None for the identity) a stimulus's
+    slot pair (t, u) meets ``Sigma[g(t), g(u)]``.  For ``block`` that is
+    ``sum_ib N_ib^2``, N_ib the slots of stimulus i drawn from block b.  A
+    stationary Sigma sees only the lag ``|g(t) - g(u)|``: the counts are
+    ``w_k = T W_k - n c_k``, W_k the ordered same-stimulus pairs and c_k all
+    ordered pairs at lag k, and the trace is ``sum_k w_k rho_k / (n T)``.
     """
-    return (
-        sigma2_eps
-        * contrast_trace(Sigma, design)
-        / ((design.m - 1) * design.n)
-    )
-
-
-def stationary_noise_level(
-    model: CovarianceModel, design: DesignSchedule, sigma2_eps: float = 1.0
-) -> float:
-    """:func:`noise_level` of a stationary ``model`` in O(m n^2 + T), no T x T matrix.
-
-    With autocorrelations rho, ``tr((B - G) Sigma) = sum_k w_k rho_k`` with
-    ``w_k = W_k / n - c_k / T``: W_k counts ordered same-stimulus slot pairs
-    at lag k, and ``c_0 = T``, ``c_k = 2 (T - k)`` count all ordered pairs at
-    lag k.  The contrast removes constants, so ``sum_k w_k = 0`` and for
-    ``exp_nugget`` (``rho_k = lam1 exp(-k / lam2)``, k >= 1) the trace is
-    ``w_0 (1 - lam1) + lam1 sum_{k>=1} w_k expm1(-k / lam2)``, which keeps
-    its digits as lam1 -> 1 and lam2 -> inf, where the plain sum cancels.
-    """
-    T, m, n = design.T, design.m, design.n
     slots = design.stimulus_groups()
+    if perm is not None:
+        if perm.T != design.T:
+            raise ValueError("permutation size does not match design")
+        slots = perm.mapping[slots]
+    if model.family == "block":
+        _check_block(design, *model.params)
+        blocks = design.block_index[slots] + design.n_blocks * np.arange(design.m)[:, None]
+        return int(np.sum(np.bincount(blocks.ravel()) ** 2))
+    T, n = design.T, design.n
     W = np.zeros(T, dtype=np.int64)
     W[0] = T
     for j in range(1, n):
-        W += 2 * np.bincount((slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
+        W += 2 * np.bincount(np.abs(slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
     c = 2 * np.arange(T, 0, -1)
     c[0] = T
+    return T * W - n * c
+
+
+def _lag_trace(model: CovarianceModel, counts: np.ndarray, n: int) -> float:
+    """``sum_k w_k rho_k``, ``w = counts / (n T)``, for a stationary ``model``.
+
+    As ``sum_k w_k = 0``, for ``exp_nugget`` that is ``w_0 (1 - lam1) + lam1
+    sum_{k>=1} w_k expm1(-k / lam2)``, which keeps its digits as lam1 -> 1
+    and lam2 -> inf, where the plain sum cancels.
+    """
+    T = len(counts)
     rho = model.autocorrelations(T)  # also checks the parameters
+    w = counts / (n * T)
     if model.family == "exp_nugget":
         lam1, lam2 = model.params
-        w = (T * W - n * c) / (n * T)  # exact integers over n T
-        trace = w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
-    else:
-        trace = float(W @ rho) / n - float(c @ rho) / T
-    return sigma2_eps * trace / ((m - 1) * n)
+        return w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
+    return float(w @ rho)
+
+
+def noise_level(
+    model: CovarianceModel, design: DesignSchedule, sigma2_eps: float = 1.0, perm=None
+) -> float:
+    """Exact expected noise contribution to the between-treatment contrast.
+
+    ``sigma2_eps tr((B - G) P Sigma P') / ((m - 1) n)`` for the covariance
+    Sigma of ``model`` and the shuffle P of ``perm`` (the identity by
+    default), from :func:`_pair_counts`; ``sigma2_eps / n`` for white noise.
+    For ``block`` it is written ``m (var_avg - var_global) / (m - 1)``, the
+    variances of a treatment average (on average) and of the global one.
+    """
+    T, m, n = design.T, design.m, design.n
+    counts = _pair_counts(model, design, perm)
+    if model.family != "block":
+        return sigma2_eps * _lag_trace(model, counts, n) / ((m - 1) * n)
+    s2b, s2u = model.params
+    var_global = s2b * float(np.sum(np.bincount(design.block_index) ** 2)) / T**2 + s2u / T
+    var_avg = s2b * (counts / (m * n * n)) + s2u / n
+    return sigma2_eps * ((m * (var_avg - var_global)) / (m - 1))
+
+
+def noise_conservation_gap(model: CovarianceModel, design: DesignSchedule, perm) -> float:
+    """``tr((B - G) P Sigma P') - tr((B - G) Sigma)``, from the difference of
+    the exact :func:`_pair_counts`: zero iff the shuffle P of ``perm``
+    conserves the noise contribution of ``model`` for this design.
+    """
+    diff = _pair_counts(model, design, perm) - _pair_counts(model, design, None)
+    if model.family == "block":
+        return model.params[0] * diff / design.n
+    return _lag_trace(model, diff, design.n)
 
 
 def psd_cholesky(Sigma: np.ndarray) -> np.ndarray:
@@ -626,23 +666,19 @@ def sample_experiment(
     noise: CovarianceModel,
     sigma2_eps: float,
     seed,
-    chol: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, ExperimentTruth]:
     """Draw one synthetic experiment Y = signal + correlated noise.
 
     Treatment effects are i.i.d. centered Gaussians with variance
     ``sigma2_A``; the noise is Gaussian with covariance ``sigma2_eps *
-    Sigma``.  Returns the length-T series and its analytic truth.  Pass a precomputed ``chol``
-    factor of the covariance to amortize the factorization across draws.
+    Sigma``.  Returns the length-T series and its analytic truth.
     """
     if sigma2_A < 0 or sigma2_eps < 0:
         raise ValueError("variances must be nonnegative")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    Sigma = noise.materialize(design)
-    if chol is None:
-        chol = psd_cholesky(Sigma)
+    chol = psd_cholesky(noise.materialize(design))
     effects = rng.normal(0.0, np.sqrt(sigma2_A), design.m)
     eps = np.sqrt(sigma2_eps) * (chol @ rng.standard_normal(design.T))
     values = effects[design.stimulus_index] + eps
-    truth = make_truth(sigma2_A, noise_level(Sigma, design, sigma2_eps))
+    truth = make_truth(sigma2_A, noise_level(noise, design, sigma2_eps))
     return values, truth

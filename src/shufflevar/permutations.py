@@ -4,9 +4,9 @@ A permutation is stored as a 0-based index array ``g`` with the convention
 that shuffling a series ``y`` produces ``y[g]``; one permutation shuffles
 the rows of a T x S matrix, every series alike.  The mixing coefficient
 :func:`alpha` measures how much of the between-treatment signal survives a
-shuffle; :func:`noise_conservation_gap` quantifies whether a shuffle leaves
-the noise contribution to the between-treatment contrast unchanged for a
-hypothesized noise covariance.
+shuffle.  Whether a shuffle conserves the noise contribution is a question
+about the noise covariance, answered by
+:func:`~shufflevar.noise.noise_conservation_gap`.
 """
 
 from __future__ import annotations
@@ -146,37 +146,3 @@ def alpha_dense(design: DesignSchedule, perm: PermutationSpec) -> float:
     g = perm.mapping
     PBPt = B[np.ix_(g, g)]
     return float(np.trace((B - G) @ PBPt) / (design.m - 1))
-
-
-def contrast_trace(M: np.ndarray, design: DesignSchedule) -> float:
-    """tr((B - G) M) without materializing B or G."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (design.T, design.T):
-        raise ValueError(
-            f"matrix shape {M.shape} does not match design T={design.T}"
-        )
-    tr_b = 0.0
-    for slots in design.stimulus_groups():
-        tr_b += M[np.ix_(slots, slots)].sum() / design.n
-    return tr_b - M.sum() / design.T
-
-
-def noise_conservation_gap(
-    Sigma: np.ndarray, design: DesignSchedule, perm: PermutationSpec
-) -> float:
-    """Change in the noise contribution to the between contrast under a shuffle.
-
-    Returns ``tr((B - G) cov(Py)) - tr((B - G) Sigma)`` where ``cov(Py)``
-    is the covariance of the shuffled noise.  Zero iff the permutation is
-    noise-conserving for this design and covariance.
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.shape != (design.T, design.T):
-        raise ValueError(
-            f"covariance shape {Sigma.shape} does not match design T={design.T}"
-        )
-    if perm.T != design.T:
-        raise ValueError("permutation size does not match design")
-    g = perm.mapping
-    shuffled = Sigma[np.ix_(g, g)]
-    return contrast_trace(shuffled, design) - contrast_trace(Sigma, design)

@@ -18,8 +18,9 @@ solves too (:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has
 rank m, so the Woodbury identity and the determinant lemma reduce ``V`` to
 an m x m problem (the low-rank trick of FaST-LMM).  The score has the
 structure of average-information REML (Gilmour, Thompson & Cullis 1995).
-The reported noise level comes from the fitted autocorrelations
-(:func:`stationary_noise_level`), so no T x T matrix is formed at any point.
+The reported noise level comes from the fitted autocorrelations through
+the lag counts of :func:`~shufflevar.noise.noise_level`, so no T x T matrix
+is formed at any point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .design import DesignSchedule, ms_between
 from .estimators import REML_FAMILIES, VarianceEstimate, _finish
-from .noise import CovarianceModel, NonStationary, stationary_noise_level
+from .noise import CovarianceModel, NonStationary, noise_level
 
 _BIG = 1e12
 _MAX_STEP = 10.0
@@ -330,6 +331,8 @@ def reml_estimate(
         raise ValueError(f"unsupported REML family {family!r}")
     if family == "ar" and not 1 <= ar_order <= 3:
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
 
     vals = np.asarray(y, dtype=float)
     if vals.ndim != 1:
@@ -373,5 +376,5 @@ def reml_estimate(
         f"reml:{family}", sigma2_A, total, extra_flags=flags
     )
     # Report the model-based noise level instead of the residual total - raw.
-    level = stationary_noise_level(model, design, sigma2_eps)
+    level = noise_level(model, design, sigma2_eps)
     return fit, replace(estimate, noise_level=level)

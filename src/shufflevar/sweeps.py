@@ -10,8 +10,8 @@ replicates are stacked as the rows of one R x T matrix.  The time-series
 noise is that matrix of standard normals times the transposed Cholesky
 factor of the noise covariance, applied by
 :meth:`~shufflevar.noise.CovarianceModel.color` in O(R T) with neither the
-T x T covariance nor its factor formed; the truth comes from
-:func:`~shufflevar.noise.stationary_noise_level`.  Each estimator then runs
+T x T covariance nor its factor formed; the truth of either sweep comes
+from :func:`~shufflevar.noise.noise_level`.  Each estimator then runs
 once on that matrix's transpose, one column per replicate; REML fits
 replicate r with seed r.  Everything runs on the calling thread;
 ``SweepConfig.threads`` is accepted but no longer changes how work runs.
@@ -28,10 +28,8 @@ import numpy as np
 
 from . import estimators as est
 from .design import DesignSchedule, build_design, treatment_averages
-from .noise import CovarianceModel, make_truth, stationary_noise_level, substream
-# Not called here any more; kept at these names because the benchmark's
-# tracer (bench/spans.py) still wraps them here.
-from .noise import noise_level, psd_cholesky  # noqa: F401
+from .noise import CovarianceModel, make_truth, noise_level, substream
+from .noise import psd_cholesky  # noqa: F401  (unused; bench/spans.py wraps it here)
 from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
 from .reml import AllStartsFailed
 
@@ -66,8 +64,9 @@ class SweepConfig:
     reml_xatol: float = 1e-8
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
+        for name in ("m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not self.sigma2_A_grid:
             raise ValueError("signal-variance grid must be nonempty")
         for name in ("sigma2_A_grid", "sigma2_eps", "sigma2_block", "sigma2_unit"):
@@ -207,16 +206,8 @@ def run_block_sweep(cfg: SweepConfig) -> SweepResult:
     setup_rng = substream(cfg.seed, 0)
     design = make_block_schedule(cfg.m, cfg.n, cfg.n_blocks, setup_rng)
     perm = block_random_perm(design, substream(cfg.seed, 1))
-    # Noise level without the dense covariance: every stimulus sits inside
-    # one block, so each treatment average carries its full block effect.
-    blk = design.block_index
-    blk_sizes = np.bincount(blk)
-    var_global = cfg.sigma2_block * float(np.sum(blk_sizes**2)) / design.T**2 + (
-        cfg.sigma2_unit / design.T
-    )
-    var_avg = cfg.sigma2_block + cfg.sigma2_unit / design.n
-    level = (design.m * (var_avg - var_global)) / (design.m - 1)
-    h = design.stimulus_index
+    level = noise_level(CovarianceModel.block(cfg.sigma2_block, cfg.sigma2_unit), design)
+    h, blk = design.stimulus_index, design.block_index
 
     def sampler(gi, s2A):
         Y = np.empty((cfg.replicates, design.T))
@@ -237,7 +228,7 @@ def run_timeseries_sweep(cfg: SweepConfig) -> SweepResult:
     design = make_random_schedule(cfg.m, cfg.n, setup_rng)
     perm = reverse_perm(design.T)
     model = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2)
-    level = stationary_noise_level(model, design, cfg.sigma2_eps)
+    level = noise_level(model, design, cfg.sigma2_eps)
     h = design.stimulus_index
 
     def sampler(gi, s2A):
@@ -300,7 +291,7 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
     if cfg.m > cfg.population_size:
         raise ValueError("sample size exceeds population size")
     design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
-    truth = make_truth(cfg.sigma2_A, stationary_noise_level(cfg.noise, design, cfg.sigma2_eps))
+    truth = make_truth(cfg.sigma2_A, noise_level(cfg.noise, design, cfg.sigma2_eps))
     M = cfg.population_size
 
     effects = np.empty((cfg.replicates, cfg.m))

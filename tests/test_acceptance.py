@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shufflevar import (
+    CovarianceModel,
     alpha,
     build_design,
     consistency_diagnostic,
@@ -167,7 +168,7 @@ def test_criterion_4_exactness_suite():
 
     assert cov_exp_nugget(200, 0.7, 30.0)[0, 125] == pytest.approx(0.0109, abs=1e-3)
 
-    assert noise_level(np.eye(d.T), d, 2.5) == pytest.approx(2.5 / d.n, rel=1e-12)
+    assert noise_level(CovarianceModel.iid(), d, 2.5) == pytest.approx(2.5 / d.n, rel=1e-12)
 
     m, n = 6, 4
     assert consistency_diagnostic(np.eye(m * n), m, n) == pytest.approx(

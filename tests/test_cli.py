@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shufflevar
 from shufflevar import build_design, mom_estimate, shuffle_estimate
@@ -16,6 +22,7 @@ from shufflevar.permutations import reverse_perm
 from shufflevar.sweeps import SweepConfig, read_sweep_table
 
 SCHED = ["a", "a", "b", "b", "a", "b"]
+GOLDEN_DATASET = Path(__file__).parent / "data" / "golden_dataset.csv"
 
 
 @pytest.fixture
@@ -143,6 +150,17 @@ class TestAlpha:
         with pytest.raises(SystemExit):
             main(["alpha", "--permutation", "reverse"])
 
+    @pytest.mark.parametrize("command", ["alpha", "diagnose"])
+    @pytest.mark.parametrize("spec", ["block:nan,1", "block:0.5,inf", "block:-1,1"])
+    def test_bad_block_variances_exit_1_naming_them(self, tmp_path, capsys, command, spec):
+        out = tmp_path / "out.txt"
+        rc = main([command, "-i", str(GOLDEN_DATASET), "--noise", spec, "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: block variances must be finite and nonnegative")
+        assert "sigma2_block=" in err and "sigma2_unit=" in err
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_candidates_listed(self, tmp_path):
@@ -239,6 +257,10 @@ class TestSimulate:
             ("kind = timeseries\nsigma2_eps = inf\n", "error: sigma2_eps must be finite"),
             ("kind = block\nsigma2_block = inf\n", "error: sigma2_block must be finite"),
             ("kind = reml\nsigma2_A_grid = 0.0, inf\n", "error: sigma2_A_grid must be finite"),
+            ("kind = block\nn_blocks = 0\n", "error: n_blocks must be at least 1, got 0"),
+            ("kind = block\nm = -4\n", "error: m must be at least 1, got -4"),
+            ("kind = timeseries\nn = 0\n", "error: n must be at least 1, got 0"),
+            ("kind = reml\nreml_starts = 0\n", "error: reml_starts must be at least 1, got 0"),
         ],
     )
     def test_bad_config_exits_before_any_sampling(
@@ -292,6 +314,72 @@ class TestSimulate:
             SweepConfig(m=8, n=3, sigma2_A_grid=(0.4,), replicates=6, seed=9)
         )
         assert rows == direct.rows
+
+
+def _run_main(argv):
+    """``main(argv)`` with warnings silenced: its exit status and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+COUNT_FIELDS = ("m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals")
+NOISE_VALUES = ("0", "0.5", "1", "-1", "3", "1e3", "nan", "inf", "-inf")
+
+
+@st.composite
+def noise_spec(draw):
+    """A ``--noise`` value of any family: its parameter count is off by at
+    most one, and each parameter is one of NOISE_VALUES."""
+    family, count = draw(st.sampled_from([("iid", 0), ("exp-nugget", 2), ("block", 2), ("ar", 2)]))
+    count = max(0, count + draw(st.integers(-1, 1)))
+    params = [draw(st.sampled_from(NOISE_VALUES)) for _ in range(count)]
+    if family == "iid" and not params:
+        return "iid"
+    return f"{family}:{','.join(params)}"
+
+
+class TestFuzzFailureContract:
+    """Every run ends in exit 0, or exit 1 with ``error:`` on stderr; no
+    traceback escapes ``main``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["block", "timeseries", "reml"]),
+        counts=st.fixed_dictionaries({
+            "m": st.integers(1, 6), "n": st.integers(1, 3), "n_blocks": st.integers(1, 3),
+            "replicates": st.integers(1, 3), "reml_starts": st.integers(1, 2),
+            "reml_max_evals": st.integers(1, 40),
+        }),
+        broken=st.dictionaries(st.sampled_from(COUNT_FIELDS), st.integers(-2, 0), max_size=2),
+    )
+    def test_simulate_config_counts(self, kind, counts, broken):
+        counts = {**counts, **broken}
+        body = "".join(f"{k} = {v}\n" for k, v in counts.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            ini, out = Path(tmp) / "sweep.ini", Path(tmp) / "sweep.csv"
+            ini.write_text(
+                f"[sweep]\nkind = {kind}\n{body}sigma2_A_grid = 0.5\nreml_xatol = 1e-4\n"
+            )
+            rc, err = _run_main(["simulate", "--config", str(ini), "-o", str(out)])
+        assert rc == 0 or (rc == 1 and err.startswith("error: ")), (rc, err)
+        # a count below 1 is rejected before any sampling
+        assert rc == 1 or min(counts.values()) >= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=noise_spec())
+    def test_noise_specs(self, spec):
+        for command in ("alpha", "diagnose"):
+            for source in (["-i", str(GOLDEN_DATASET)], ["--schedule", "a,b,a,b,c,c"]):
+                with tempfile.TemporaryDirectory() as tmp:
+                    out = Path(tmp) / "out.txt"
+                    rc, err = _run_main([command, *source, "--noise", spec, "-o", str(out)])
+                    text = out.read_text() if rc == 0 else ""
+                assert rc == 0 or (rc == 1 and err.startswith("error: ")), (command, rc, err)
+                # a report that exits 0 holds only finite numbers
+                assert "nan" not in text and "inf" not in text, (command, text)
 
 
 class TestParser:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from shufflevar import (
     cov_ar,
     cov_block,
     cov_exp_nugget,
+    noise_conservation_gap,
     noise_level,
     sample_experiment,
 )
@@ -17,10 +20,18 @@ from shufflevar.noise import (
     ar_autocorrelations,
     make_truth,
     psd_cholesky,
-    stationary_noise_level,
     substream,
 )
+from shufflevar.permutations import (
+    block_random_perm,
+    cyclic_shift,
+    identity_perm,
+    odd_even_swap,
+    reverse_perm,
+)
 from shufflevar.sweeps import make_block_schedule, make_random_schedule
+
+from dense_oracles import dense_gap, dense_noise_level
 
 
 class TestExpNugget:
@@ -79,6 +90,16 @@ class TestBlockCovariance:
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
             cov_block(self._design(), 0.0, 0.0)
+
+    @pytest.mark.parametrize("params", [(np.nan, 1.0), (0.5, np.inf), (-np.inf, 1.0), (0.5, -0.1)])
+    def test_bad_variances_rejected_by_matrix_and_level(self, params):
+        # materialize and noise_level go through the same checks
+        d, model = self._design(), CovarianceModel.block(*params)
+        named = r"sigma2_block=.*, sigma2_unit="
+        with pytest.raises(ValueError, match=named):
+            model.materialize(d)
+        with pytest.raises(ValueError, match=named):
+            noise_level(model, d)
 
 
 class TestArCovariance:
@@ -143,34 +164,36 @@ class TestNoiseLevel:
     def test_iid_is_sigma_over_n(self):
         rng = np.random.default_rng(1)
         d = make_random_schedule(6, 13, rng)
-        assert noise_level(np.eye(d.T), d, 1.0) == pytest.approx(1.0 / 13.0, rel=1e-12)
+        assert noise_level(CovarianceModel.iid(), d, 1.0) == pytest.approx(1.0 / 13.0, rel=1e-12)
 
     def test_zero_variance(self):
         d = build_design(["a", "a", "b", "b"])
-        assert noise_level(np.eye(4), d, 0.0) == 0.0
+        assert noise_level(CovarianceModel.iid(), d, 0.0) == 0.0
 
     def test_block_noise_exceeds_iid_rate(self):
         # repeats confined to one block: averaging cannot cancel the block effect
         d = make_block_schedule(4, 5, 2, np.random.default_rng(3))
-        S = cov_block(d, 0.5, 0.5)
-        assert noise_level(S, d, 1.0) > 1.0 / d.n
+        assert noise_level(CovarianceModel.block(0.5, 0.5), d, 1.0) > 1.0 / d.n
 
     def test_dimension_mismatch(self):
         d = build_design(["a", "a", "b", "b"])
         with pytest.raises(ValueError):
-            noise_level(np.eye(5), d, 1.0)
+            noise_level(CovarianceModel.iid(), d, 1.0, perm=reverse_perm(5))
 
 
 class TestStationaryNoiseLevel:
-    """The lag-count identity against the dense trace."""
+    """The structured noise level and conservation gap of every family,
+    under every shuffle, against the dense trace."""
 
-    def _models(self, family, rng, count=40):
+    def _models(self, family, rng, count=25):
         while count:
             if family == "iid":
                 model = CovarianceModel.iid()
             elif family == "exp_nugget":
                 lam1 = rng.uniform(1e-6, 1 - 1e-6)
                 model = CovarianceModel.exp_nugget(lam1, 10.0 ** rng.uniform(-1.0, 10.0))
+            elif family == "block":
+                model = CovarianceModel.block(*rng.uniform(0.0, 2.0, 2))
             else:
                 model = CovarianceModel.ar(rng.uniform(-1.2, 1.2, int(family[-1])))
                 try:
@@ -180,21 +203,40 @@ class TestStationaryNoiseLevel:
             count -= 1
             yield model
 
+    @staticmethod
+    def _shuffles(d, rng):
+        yield identity_perm(d.T)
+        yield reverse_perm(d.T)
+        yield cyclic_shift(d.T, int(rng.integers(d.T)))
+        if d.T % 2 == 0:
+            yield odd_even_swap(d.T)
+        yield block_random_perm(d, rng)
+
     @pytest.mark.parametrize("schedule", ["random", "blocked"])
-    @pytest.mark.parametrize("family", ["iid", "exp_nugget", "ar1", "ar2", "ar3"])
+    @pytest.mark.parametrize("family", ["iid", "exp_nugget", "ar1", "ar2", "ar3", "block"])
     def test_matches_dense(self, family, schedule):
+        # "random" cuts the time axis into blocks that stimuli span;
+        # "blocked" keeps each stimulus inside one block.  Tolerance 1e-12
+        # relative to the unshuffled trace, fixed before the run.
         rng = np.random.default_rng(len(family) + len(schedule))
         for model in self._models(family, rng):
             m, n = int(rng.integers(2, 25)), int(rng.integers(1, 9))
             if schedule == "random":
-                d = make_random_schedule(m, n, rng)
+                h = make_random_schedule(m, n, rng).labels
+                cuts = np.sort(rng.integers(0, m * n, int(rng.integers(1, 5))))
+                d = build_design(h, np.searchsorted(cuts, np.arange(m * n), side="right"))
             else:
                 n_blocks = int(rng.choice([b for b in range(1, m + 1) if m % b == 0]))
                 d = make_block_schedule(m, n, n_blocks, rng)
-            want = noise_level(model.materialize(d), d, 1.7)
-            assert stationary_noise_level(model, d, 1.7) == pytest.approx(
-                want, rel=1e-10, abs=0
-            ), (model, m, n)
+            scale = dense_noise_level(model, d) * (m - 1) * n
+            for perm in self._shuffles(d, rng):
+                case = (model, m, n, perm.family)
+                want = dense_noise_level(model, d, 1.7, perm)
+                assert noise_level(model, d, 1.7, perm) == pytest.approx(
+                    want, rel=1e-12, abs=0
+                ), case
+                gap = noise_conservation_gap(model, d, perm)
+                assert abs(gap - dense_gap(model, d, perm)) <= 1e-12 * scale, case
 
     @pytest.mark.parametrize(
         "lam1, lam2",
@@ -225,8 +267,29 @@ class TestStationaryNoiseLevel:
                 for k in range(T)
             )
             want = float(trace / ((m - 1) * n))
-        got = stationary_noise_level(CovarianceModel.exp_nugget(lam1, lam2), d)
+        got = noise_level(CovarianceModel.exp_nugget(lam1, lam2), d)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CovarianceModel.exp_nugget(0.7, 30.0),
+            CovarianceModel.ar([0.5, -0.2]),
+            CovarianceModel.block(0.5, 0.7),
+        ],
+        ids=lambda model: model.family,
+    )
+    def test_gap_needs_no_dense_matrix(self, model):
+        # Paper scale, T = 1800: the T x T covariance alone would take 26 MB.
+        d = make_block_schedule(120, 15, 20, np.random.default_rng(0))
+        perm = block_random_perm(d, 1)
+        tracemalloc.start()
+        try:
+            noise_conservation_gap(model, d, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_materialize_is_toeplitz_of_autocorrelations(self):
         model = CovarianceModel.ar([0.5, -0.2])

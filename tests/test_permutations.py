@@ -14,14 +14,15 @@ from shufflevar import (
     odd_even_swap,
     reverse_perm,
 )
-from shufflevar.noise import cov_exp_nugget
+from shufflevar.noise import CovarianceModel
 from shufflevar.permutations import (
     OddLength,
     PermutationSpec,
     alpha_dense,
-    contrast_trace,
     perm_from_indices,
 )
+
+from dense_oracles import contrast_trace
 
 
 def random_balanced_design(rng, max_m=6, max_n=5):
@@ -191,42 +192,40 @@ class TestNoiseConservationGap:
     def test_identity_covariance_any_perm(self):
         d = build_design(["a", "b", "c"] * 4)
         P = block_random_perm(d, seed=8)
-        gap = noise_conservation_gap(np.eye(12), d, P)
+        gap = noise_conservation_gap(CovarianceModel.iid(), d, P)
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_toeplitz_reverse(self):
         rng = np.random.default_rng(2)
         d = build_design(rng.permutation(np.repeat(np.arange(5), 4)).tolist())
-        Sigma = cov_exp_nugget(20, 0.6, 5.0)
-        gap = noise_conservation_gap(Sigma, d, reverse_perm(20))
+        model = CovarianceModel.exp_nugget(0.6, 5.0)
+        gap = noise_conservation_gap(model, d, reverse_perm(20))
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_block_constant_block_perm(self):
         blocks = [0] * 4 + [1] * 4 + [2] * 4
         sched = ["a", "b", "a", "b", "c", "d", "c", "d", "e", "f", "e", "f"]
         d = build_design(sched, blocks)
-        beta = d.block_index
-        Sigma = 0.5 * np.equal.outer(beta, beta) + 0.5 * np.eye(12)
         P = block_random_perm(d, seed=21)
-        assert noise_conservation_gap(Sigma, d, P) == pytest.approx(0.0, abs=1e-12)
+        model = CovarianceModel.block(0.5, 0.5)
+        assert noise_conservation_gap(model, d, P) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_block_swap_nonzero(self):
         blocks = [0] * 4 + [1] * 4 + [2] * 4
         sched = ["a", "a", "b", "b", "c", "c", "d", "d", "e", "e", "f", "f"]
         d = build_design(sched, blocks)
-        beta = d.block_index
-        # distinct block levels
-        Sigma = np.equal.outer(beta, beta) * (0.2 + 0.3 * beta)[:, None]
-        Sigma = (Sigma + Sigma.T) / 2 + np.eye(12)
         g = list(range(12))
         g[0], g[4] = g[4], g[0]  # swap across blocks 0 and 1
         P = PermutationSpec(np.array(g))
-        assert abs(noise_conservation_gap(Sigma, d, P)) > 1e-6
+        # stimuli a and c each split across two blocks, so sum_ib N_ib^2
+        # drops by 2 + 2 and the gap is sigma2_block (-4) / n
+        gap = noise_conservation_gap(CovarianceModel.block(0.5, 1.0), d, P)
+        assert gap == pytest.approx(-0.5 * 4 / 2, rel=1e-12)
 
     def test_dimension_mismatch(self):
         d = build_design(["a", "a", "b", "b"])
         with pytest.raises(ValueError):
-            noise_conservation_gap(np.eye(5), d, reverse_perm(4))
+            noise_conservation_gap(CovarianceModel.iid(), d, reverse_perm(5))
 
 
 class TestContrastTrace:

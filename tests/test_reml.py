@@ -226,8 +226,7 @@ class TestExpNuggetRecovery:
         assert abs(np.median(fits) - 0.4) <= 0.05
 
     def test_noise_level_is_model_based(self, small_design):
-        from shufflevar import noise_level
-        from shufflevar.noise import cov_exp_nugget
+        from dense_oracles import dense_noise_level
 
         d = small_design
         y, _ = sample_experiment(
@@ -239,9 +238,9 @@ class TestExpNuggetRecovery:
         )
         assert fit.family == "exp_nugget" and est.method == "reml:exp_nugget"
         assert 0.0 < fit.theta[0] < 1.0 and fit.theta[1] > 0.0
-        Sigma_hat = cov_exp_nugget(d.T, *fit.theta)
+        fitted = CovarianceModel(fit.family, fit.theta)
         assert est.noise_level == pytest.approx(
-            noise_level(Sigma_hat, d, fit.sigma2_eps), rel=1e-10
+            dense_noise_level(fitted, d, fit.sigma2_eps), rel=1e-10
         )
 
 
@@ -265,6 +264,12 @@ class TestArFamily:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_n_starts_below_one_rejected(self, small_design, n_starts):
+        # one start would run, but the fit would report n_starts of them
+        with pytest.raises(ValueError, match="n_starts must be at least 1"):
+            reml_estimate(np.zeros(small_design.T), small_design, n_starts=n_starts)
+
     def test_unknown_family(self, small_design):
         with pytest.raises(ValueError):
             reml_estimate(np.zeros(small_design.T), small_design, family="bogus")

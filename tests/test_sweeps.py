@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shufflevar.estimators import run_estimator
-from shufflevar.noise import CovarianceModel, noise_level, psd_cholesky, substream
+from shufflevar.noise import CovarianceModel, psd_cholesky, substream
 from shufflevar.permutations import block_random_perm, reverse_perm
 from shufflevar.sweeps import (
     PredictionConfig,
@@ -19,6 +19,8 @@ from shufflevar.sweeps import (
     run_reml_comparison,
     run_timeseries_sweep,
 )
+
+from dense_oracles import dense_noise_level
 
 SMALL_BLOCK = SweepConfig(
     m=8, n=3, n_blocks=2, sigma2_A_grid=(0.0, 0.4), replicates=30, seed=5
@@ -55,6 +57,14 @@ class TestConfig:
     def test_invalid_replicates(self):
         with pytest.raises(ValueError):
             SweepConfig(replicates=0)
+
+    @pytest.mark.parametrize(
+        "field", ["m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals"]
+    )
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            SweepConfig(**{field: value})
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
@@ -299,7 +309,7 @@ class TestPredictionCheck:
         want = sum(Sigma[np.ix_(g, g)].sum() for g in slots) / cfg.n**2 / (cfg.m - 1)
         assert abs(out.mean_mspe - want) <= 4 * out.se_mspe
         assert out.noise_level_true == pytest.approx(
-            noise_level(Sigma, design), rel=1e-12
+            dense_noise_level(cfg.noise, design, cfg.sigma2_eps), rel=1e-12
         )
 
     def test_sample_larger_than_population(self):
