@@ -156,7 +156,7 @@ def _sweep_config_from_ini(path) -> tuple:
         with open(path) as fh:
             parser.read_file(fh)
         if not parser.has_section("sweep"):
-            raise ValueError(f"{path}: no [sweep] section")
+            raise ValueError("no [sweep] section")
         sec = parser["sweep"]
         names = ("kind", *(f.name for f in fields(SweepConfig)))
         known = {parser.optionxform(name) for name in names}
@@ -168,18 +168,22 @@ def _sweep_config_from_ini(path) -> tuple:
             raise ValueError(f"unknown sweep kind {kind!r}")
         return kind, parse_fields(SweepConfig, sec)
     except configparser.Error as exc:  # values interpolate as they are read
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
     if args.config:
-        kind, kwargs = _sweep_config_from_ini(args.config)
+        try:  # an error in the file's content names the file
+            kind, kwargs = _sweep_config_from_ini(args.config)
+            cfg = SweepConfig(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     elif args.preset:
         kwargs = dict(_PRESETS[args.preset])
         kind = kwargs.pop("kind")
+        cfg = SweepConfig(**kwargs)
     else:
         raise SystemExit("either --config or --preset is required")
-    cfg = SweepConfig(**kwargs)
     overrides = {
         key: getattr(args, key)
         for key in ("replicates", "seed", "threads")

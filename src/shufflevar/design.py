@@ -13,6 +13,7 @@ array), or a T x S matrix of series, giving one result per column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -67,17 +68,18 @@ class DesignSchedule:
     def T(self) -> int:
         return len(self.labels)
 
-    @property
+    # Counted once per design: the sweeps read them thousands of times.
+    @cached_property
     def m(self) -> int:
         """Number of distinct stimuli."""
         return int(self.stimulus_index.max()) + 1
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Repeats per stimulus."""
         return self.T // self.m
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return int(self.block_index.max()) + 1
 

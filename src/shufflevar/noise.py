@@ -12,9 +12,10 @@ Supported families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,13 +173,14 @@ class CovarianceModel:
         rho[0] = 1.0
         return rho
 
-    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float, Optional[np.ndarray]]:
-        """``(Sigma^-1 B, log det Sigma, M^-1 B)`` for a T x k ``B``, in O(T k).
+    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float, Optional[_Tridiagonal]]:
+        """``(Sigma^-1 B, log det Sigma, factor)`` for a T x k ``B``, in O(T k).
 
         Sigma is never formed: ``iid`` returns ``(B, 0, None)``, and
         ``exp_nugget`` and ``ar`` have banded precision matrices (see
         :func:`_exp_nugget_precision_solve` and :func:`_ar_precision_solve`).
-        ``M^-1 B`` is the tridiagonal solve inside ``exp_nugget``'s, which its
+        ``factor`` is the tridiagonal M factored inside ``exp_nugget``'s
+        solve, with ``factor.MB = M^-1 B``, which its
         :meth:`precision_derivatives` reuse; it is None for the other families.
 
         Raises :class:`NonStationary` for non-stationary AR coefficients,
@@ -219,25 +221,33 @@ class CovarianceModel:
         return X.T
 
     def precision_derivatives(
-        self, U: np.ndarray, SU: np.ndarray, MU: Optional[np.ndarray], V: np.ndarray
+        self, U: np.ndarray, SU: np.ndarray, factor: Optional[_Tridiagonal], K: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Derivatives in the free parameters p, in O(T k) for T x k U and V.
+        """Derivatives in the free parameters p, in O(T k^2) for a T x k U.
 
         The free parameters are ``(logit lam1, log lam2)`` for
         ``exp_nugget``, the coefficients for ``ar`` and none for ``iid``.
-        Given ``SU = Sigma^-1 U`` and ``MU = M^-1 U`` (as
-        :meth:`precision_solve` gives them), returns
+        Given ``SU = Sigma^-1 U`` and, for ``exp_nugget``, the ``factor`` of
+        :meth:`precision_solve` with ``factor.MB = M^-1 U``, returns
         ``dlogdet[j] = d log det Sigma / dp_j`` and
-        ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 V_i``, summed
-        over the column pairs.
+        ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 W_i``, summed
+        over the columns of ``W = U K`` for a k x k ``K``.
         """
         if self.family == "iid":
             return np.zeros(0), np.zeros(0)
         if self.family == "exp_nugget":
-            return _exp_nugget_precision_derivatives(SU, MU, V, *self.params)
+            return _exp_nugget_precision_derivatives(SU, factor, K, *self.params)
         if self.family == "ar":
-            return _ar_precision_derivatives(U, V, self.params)
+            return _ar_precision_derivatives(U, U @ K, self.params)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported at first use: scipy is slow to import."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
@@ -260,16 +270,21 @@ def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
     r_minus = -eps * c / r_plus
     r1 = eps + b
     ratio = (c + r_minus) / (c + r_plus)
-    w = (r1 - r_plus) / (r1 - r_minus) * ratio ** np.arange(T - 1)
-    r = r_plus + w * s / (1.0 - w)
-    pivots = c + np.append(r, 0.0)
-    pivots[-1] = eps + b + c * r[-1] / (c + r[-1])
+    w = ratio ** np.arange(T - 1.0)
+    w *= (r1 - r_plus) / (r1 - r_minus)
+    r = w * s
+    r /= 1.0 - w
+    r += r_plus
+    pivots = np.empty(T)
+    np.add(c, r, out=pivots[:-1])
+    r_last = float(r[-1])
+    pivots[-1] = eps + b + c * r_last / (c + r_last)
     return pivots, r
 
 
-def _tridiagonal_inverse_bands(c: float, eps: float, b: float, pivots, r):
-    """Diagonal and first off-diagonal of the inverse of the matrix of
-    :func:`_tridiagonal_pivots`, in O(T).
+def _tridiagonal_inverse_bands(factor: _Tridiagonal):
+    """Diagonal and first off-diagonal of ``M^-1``, M the matrix of
+    :func:`_tridiagonal_pivots`, in O(T) from its pivots and r.
 
     Eliminating from both ends gives ``(M^-1)_kk = 1 / (eps + b_k + l_k + l'_k)``
     with ``b_k = b`` at the two ends and 0 elsewhere, ``l_1 = 0``,
@@ -278,21 +293,56 @@ def _tridiagonal_inverse_bands(c: float, eps: float, b: float, pivots, r):
     persymmetric).  Every term is nonnegative, so nothing cancels.  Above the
     diagonal, ``(M^-1)_{k,k+1} = c (M^-1)_{k+1,k+1} / p_k``.
     """
-    left = np.concatenate([[0.0], c * r / (c + r)])
-    rest = eps + left + left[::-1]
-    rest[[0, -1]] += b
+    c, pivots = factor.c, factor.pivots
+    left = np.empty(len(pivots))
+    left[0] = 0.0
+    np.divide(c * factor.r, pivots[:-1], out=left[1:])  # pivots[:-1] = c + r
+    rest = factor.eps + left
+    rest += left[::-1]
+    rest[0] += factor.b
+    rest[-1] += factor.b
     diag = 1.0 / rest
     return diag, c * diag[1:] / pivots[:-1]
 
 
 def _dot(P: np.ndarray, Q: np.ndarray) -> float:
-    """``sum_ij P_ij Q_ij``."""
+    """``sum_ij P_ij Q_ij``, in an order that no BLAS thread count changes."""
     return float(np.einsum("ij,ij->", P, Q))
+
+
+def _row_diffs(P: np.ndarray) -> np.ndarray:
+    """``P[1:] - P[:-1]`` for a T x k ``P``, raveled column by column into
+    one row with a 0 between columns, for :func:`_dot`.
+
+    One difference of the column-major ravel costs a third of the sliced
+    one.
+    """
+    v = P.ravel(order="F")
+    d = v[1:] - v[:-1]
+    d[len(P) - 1 :: len(P)] = 0.0
+    return d[None]
 
 
 def _d_form(P: np.ndarray, Q: np.ndarray) -> float:
     """``sum_i P_i' D Q_i`` for ``D = diag(1, 2, ..., 2, 1)``."""
-    return 2.0 * _dot(P, Q) - float(P[0] @ Q[0] + P[-1] @ Q[-1])
+    ends = slice(None, None, len(P) - 1)  # the first and last rows
+    return 2.0 * _dot(P, Q) - _dot(P[ends], Q[ends])
+
+
+class _Tridiagonal(NamedTuple):
+    """``exp_nugget``'s ``M = c L + eps I + b (e_1 e_1' + e_T e_T')`` at one
+    point, factored once by :func:`_exp_nugget_precision_solve` for its
+    solves, its derivatives and the bands of its inverse."""
+
+    u: float
+    phi: float
+    delta: float
+    c: float
+    eps: float
+    b: float
+    pivots: np.ndarray  # LDL' pivots (:func:`_tridiagonal_pivots`)
+    r: np.ndarray
+    MB: np.ndarray  # M^-1 B for the B solved; the caller may update it to M^-1 U
 
 
 def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
@@ -310,36 +360,39 @@ def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
     first rounds A's smallest eigenvalue (about delta / T, along the
     constant vector) to absolute precision, which costs digits once
     ``lam2 >> T``; the second loses about ``lam1 delta / nu`` instead.
-    ``M^-1 B`` is returned too: the second form solves for it, and the first
-    gives it as ``(B - nu Sigma^-1 B) / (lam1 delta)``, which then loses at
-    most a factor ``1 + 4 nu / (lam1 delta) <= 5``.
+    ``M^-1 B`` is returned in the :class:`_Tridiagonal` factor too: the
+    second form solves for it, and the first gives it as
+    ``(B - nu Sigma^-1 B) / (lam1 delta)``, which then loses at most a
+    factor ``1 + 4 nu / (lam1 delta) <= 5``.
     """
-    from scipy.linalg import lapack
-
     T = B.shape[0]
     u = -math.expm1(-1.0 / lam2)
     phi = 1.0 - u
     delta = -math.expm1(-2.0 / lam2)
     nu = 1.0 - lam1
     c = nu * phi
-    pivots, _ = _tridiagonal_pivots(c, nu * u * u + lam1 * delta, c * u, T)
-    logdet = float(np.sum(np.log(pivots))) - math.log(delta)
+    eps, b = nu * u * u + lam1 * delta, c * u
+    pivots, r = _tridiagonal_pivots(c, eps, b, T)
+    off = -c / pivots[:-1]
+    logdet = float(np.log(pivots).sum()) - math.log(delta)
+    dpttrs = _lapack().dpttrs
     if lam1 * delta < nu:
-        MB, _ = lapack.dpttrs(pivots, -c / pivots[:-1], B)
+        MB, _ = dpttrs(pivots, off, B)
         Y = MB * (-lam1 * delta)
         Y += B
         Y /= nu
-        return Y, logdet, MB
-    dB = np.diff(B, axis=0)
-    AB = (u * u) * B
-    AB[:-1] -= phi * dB
-    AB[1:] += phi * dB
-    AB[[0, -1]] += (phi * u) * B[[0, -1]]
-    Y, _ = lapack.dpttrs(pivots, -c / pivots[:-1], AB)
-    return Y, logdet, (B - nu * Y) / (lam1 * delta)
+    else:
+        dB = B[1:] - B[:-1]
+        AB = (u * u) * B
+        AB[:-1] -= phi * dB
+        AB[1:] += phi * dB
+        AB[[0, -1]] += (phi * u) * B[[0, -1]]
+        Y, _ = dpttrs(pivots, off, AB, overwrite_b=1)
+        MB = (B - nu * Y) / (lam1 * delta)
+    return Y, logdet, _Tridiagonal(u, phi, delta, c, eps, b, pivots, r, MB)
 
 
-def _exp_nugget_precision_derivatives(SU, MU, V, lam1: float, lam2: float):
+def _exp_nugget_precision_derivatives(SU, factor: _Tridiagonal, K, lam1: float, lam2: float):
     """:meth:`CovarianceModel.precision_derivatives` for ``exp_nugget``.
 
     With A, M, u, phi, delta and nu of :func:`_exp_nugget_precision_solve`
@@ -357,33 +410,26 @@ def _exp_nugget_precision_derivatives(SU, MU, V, lam1: float, lam2: float):
 
     Forms in L are sums over differences of neighbouring rows, which lose
     nothing to cancellation on slowly varying columns, and the traces of
-    M^-1 come from its bands (:func:`_tridiagonal_inverse_bands`).  One
-    banded solve gives ``M^-1 V``.  The chain rule uses
+    M^-1 come from its bands (:func:`_tridiagonal_inverse_bands`).  The
+    right-hand columns ``V = U K`` need no second banded solve:
+    ``M^-1 V = (M^-1 U) K``, one matrix product.  The chain rule uses
     ``dlam1/dlogit lam1 = lam1 nu`` and ``dphi/dlog lam2 = phi / lam2``.
     """
-    from scipy.linalg import lapack
-
-    T = V.shape[0]
-    u = -math.expm1(-1.0 / lam2)
-    phi = 1.0 - u
-    delta = -math.expm1(-2.0 / lam2)
-    nu = 1.0 - lam1
-    c = nu * phi
-    eps, b = nu * u * u + lam1 * delta, c * u
-    pivots, r = _tridiagonal_pivots(c, eps, b, T)
-    MV, _ = lapack.dpttrs(pivots, -c / pivots[:-1], V)
-    dMV = np.diff(MV, axis=0)
+    u, phi, delta, nu = factor.u, factor.phi, factor.delta, 1.0 - lam1
+    MU = factor.MB
+    MV = np.matmul(MU, K, out=np.empty_like(MU))  # column-major, as MU
+    dMV = _row_diffs(MV)
     dphi = phi / lam2
     # The L forms summed by parts: P'L Q = sum of products of row differences.
     forms = np.array([
-        lam1 * nu * phi * (u * _d_form(SU, MV) - _dot(np.diff(SU, axis=0), dMV)),
-        -lam1 * dphi * ((1.0 + phi * phi) * _dot(np.diff(MU, axis=0), dMV) - (u * u) * _d_form(MU, MV)),
+        lam1 * nu * phi * (u * _d_form(SU, MV) - _dot(_row_diffs(SU), dMV)),
+        -lam1 * dphi * ((1.0 + phi * phi) * _dot(_row_diffs(MU), dMV) - (u * u) * _d_form(MU, MV)),
     ])
-    inv_diag, inv_off = _tridiagonal_inverse_bands(c, eps, b, pivots, r)
+    inv_diag, inv_off = _tridiagonal_inverse_bands(factor)
     tr_inv = float(inv_diag.sum())
     tr_dA = 2.0 * phi * float(inv_diag[1:-1].sum()) - 2.0 * float(inv_off.sum())
     dlogdet = np.array([
-        lam1 * (delta * tr_inv - T),
+        lam1 * (delta * tr_inv - len(MU)),
         dphi * (nu * tr_dA - 2.0 * phi * lam1 * tr_inv + 2.0 * phi / delta),
     ])
     return dlogdet, forms

@@ -11,22 +11,33 @@ parameters:
 - ``ar``:          raw coefficients, non-stationary points rejected with
   an infinite objective.
 
-Each evaluation of the objective and its score is O(T m) plus m x m
-factorizations: the noise precision is banded
-(:meth:`CovarianceModel.precision_solve`), its derivatives are banded
-solves too (:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has
-rank m, so the Woodbury identity and the determinant lemma reduce ``V`` to
-an m x m problem (the low-rank trick of FaST-LMM).  The score has the
-structure of average-information REML (Gilmour, Thompson & Cullis 1995).
-The reported noise level comes from the fitted autocorrelations through
-the lag counts of :func:`~shufflevar.noise.noise_level`, so no T x T matrix
-is formed at any point.
+Each evaluation of the objective and its score costs one banded solve of
+the m + 2 columns ``[X, y, 1]`` and m x m factorizations: the noise
+precision is banded (:meth:`CovarianceModel.precision_solve`), its
+derivatives reuse that solve's factor
+(:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has rank m, so
+the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
+problem (the low-rank trick of FaST-LMM).  The score's right-hand columns
+``X gamma H^-1`` need no second solve of m columns: their solve is the
+first one's times the m x m ``gamma H^-1``, one matrix product.  The score
+has the structure of average-information REML (Gilmour, Thompson & Cullis
+1995).  The reported noise level comes from the fitted autocorrelations
+through the lag counts of :func:`~shufflevar.noise.noise_level`, so no
+T x T matrix is formed at any point.
+
+The fixed cost of an evaluation matters as much as its O(T m) work at the
+sizes fitted here: LAPACK routines are looked up once per fit, small work
+arrays are kept across evaluations, floating-point warnings are silenced
+once per fit, and the optimizer's bookkeeping runs on Python floats.  Every
+long reduction runs in an order that no BLAS thread count changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from math import fsum
+from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -78,19 +89,26 @@ class _RemlProblem:
     """
 
     def __init__(self, y: np.ndarray, design: DesignSchedule, family: str, ar_order: int):
+        from scipy.linalg import lapack
+
+        self.dpotrf, self.dtrtrs, self.dpotrs = lapack.dpotrf, lapack.dtrtrs, lapack.dpotrs
         self.family = family
         self.ar_order = ar_order
         self.T, self.m, self.n = design.T, design.m, design.n
-        self.h = design.stimulus_index
         # B = [X, y, 1] with X the T x m stimulus indicator.
         # Column-major, as the banded solvers take it.
         self.B = np.asfortranarray(
-            np.column_stack([np.eye(self.m)[self.h], y, np.ones(self.T)])
+            np.column_stack([np.eye(self.m)[design.stimulus_index], y, np.ones(self.T)])
         )
-        # [X, Sigma u, Sigma a] for the score, refilled at each point.
+        # U = [X, Sigma u, Sigma a] = [X, B R] and K of the score, whose
+        # blocks are refilled at each point (see objective_and_score).
         self.U = self.B.copy(order="F")
-        # Slots sorted by stimulus: X'Z is a sum over n consecutive rows.
-        self.order = design.stimulus_groups().ravel()
+        self.R = np.zeros((self.m + 2, 2))
+        self.R[self.m :] = np.eye(2)
+        self.K = np.zeros((self.m + 2, self.m + 2))
+        self.eye = np.eye(self.m)
+        # Slots by repeat, then stimulus: X'Z is a sum of n blocks of m rows.
+        self.order = design.stimulus_groups().T.ravel()
 
     def model(self, theta: Sequence[float]) -> CovarianceModel:
         """Noise correlation at transformed parameters ``theta``."""
@@ -98,7 +116,7 @@ class _RemlProblem:
             return CovarianceModel.exp_nugget(_sigmoid(theta[0]), math.exp(theta[1]))
         return CovarianceModel(self.family, tuple(float(v) for v in theta))
 
-    def profile(self, x: np.ndarray):
+    def profile(self, x: Sequence[float]):
         """Profile out sigma2_eps at V = Sigma(theta) + gamma XX'.
 
         With ``G = B' Sigma^-1 B`` split into ``C = X' Sigma^-1 X``,
@@ -113,33 +131,31 @@ class _RemlProblem:
         (parameters out of floating-point range, non-stationary AR, a factor
         not positive definite, or a non-positive residual quadratic form).
         """
-        from scipy.linalg import lapack
-
         try:
             gamma = math.exp(min(x[0], 40.0))
             model = self.model(x[1:])
-            Z, logdet_sigma, MB = model.precision_solve(self.B)
+            Z, logdet_sigma, factor = model.precision_solve(self.B)
         except (ArithmeticError, NonStationary, np.linalg.LinAlgError):
             return None
         m = self.m
-        XtZ = Z[self.order].reshape(m, self.n, m + 2).sum(axis=1)
+        XtZ = Z[self.order].reshape(self.n, m, m + 2).sum(axis=0)
         H = gamma * XtZ[:, :m]
         H.flat[:: m + 1] += 1.0
-        L, info = lapack.dpotrf(H, lower=1)
+        L, info = self.dpotrf(H, lower=1)
         if info != 0:
             return None
-        W, _ = lapack.dtrtrs(L, XtZ[:, m:], lower=1)
+        W, _ = self.dtrtrs(L, XtZ[:, m:], lower=1)
         s = self.B[:, m:].T @ Z[:, m:] - gamma * (W.T @ W)
-        logdet = logdet_sigma + 2.0 * float(np.sum(np.log(np.diag(L))))
+        logdet = logdet_sigma + 2.0 * float(np.log(L.diagonal()).sum())
         s_yy, s_y1, s_11 = float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
         if s_11 <= 0:
             return None
         quad = s_yy - s_y1**2 / s_11
         if not (math.isfinite(quad) and math.isfinite(logdet)) or quad <= 0:
             return None
-        return gamma, model, quad, logdet, s_11, (Z, MB, XtZ, L, W, s_y1 / s_11)
+        return gamma, model, quad, logdet, s_11, (Z, factor, XtZ, L, W, s_y1 / s_11)
 
-    def objective(self, x: np.ndarray) -> float:
+    def objective(self, x: Sequence[float]) -> float:
         """-2 * profiled restricted log-likelihood, up to an additive constant."""
         parts = self.profile(x)
         if parts is None:
@@ -147,7 +163,7 @@ class _RemlProblem:
         _, _, quad, logdet, s_11, _ = parts
         return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
 
-    def objective_and_score(self, x: np.ndarray):
+    def objective_and_score(self, x: Sequence[float]):
         """``(objective, its gradient in x)`` from one profile; ``(_BIG, None)``
         where the objective or the score is not finite.
 
@@ -162,47 +178,47 @@ class _RemlProblem:
         - for a correlation parameter, ``tr(V^-1 dSigma) = d log det Sigma -
           gamma tr(H^-1 X'N X)`` and ``w' dSigma w = (Sigma w)' N (Sigma w)``
           for ``w = a, u``, where ``N = Sigma^-1 dSigma Sigma^-1`` and the
-          three forms come from one :meth:`CovarianceModel.precision_derivatives`.
-        """
-        from scipy.linalg import lapack
+          three forms come from one :meth:`CovarianceModel.precision_derivatives`
+          over the columns of ``U = [X, Sigma u, Sigma a]`` and ``U K`` for
+          the block-diagonal ``K = diag(gamma H^-1, (T - 1) / quad, 1 / s_11)``.
 
-        with np.errstate(all="ignore"):
-            parts = self.profile(x)
-            if parts is None:
-                return _BIG, None
-            gamma, model, quad, logdet, s_11, (Z, MB, XtZ, L, W, beta) = parts
-            T, m, h = self.T, self.m, self.h
-            f = (T - 1) * math.log(quad) + logdet + math.log(s_11)
-            G, _ = lapack.dtrtrs(L, W, lower=1, trans=1)  # H^-1 D
-            G_ua = np.column_stack([G[:, 0] - beta * G[:, 1], G[:, 1]])
-            u_X, a_X = G_ua.T  # X'u, X'a
-            # Not dpotri: its rounding depends on the BLAS thread count, which
-            # flat fits amplify.  dpotrs on the identity rounds alike at any count.
-            H_inv, _ = lapack.dpotrs(L, np.eye(m), lower=1)
-            score = np.empty(len(x))
-            score[0] = gamma * (
-                float(np.sum(H_inv * XtZ[:, :m]))
-                - float(a_X @ a_X) / s_11
-                - (T - 1) * float(u_X @ u_X) / quad
-            ) if x[0] < 40.0 else 0.0
-            if len(x) > 1:
-                # Sigma u = y - beta 1 - gamma X X'u and Sigma a = 1 - gamma X X'a
-                # combine B's columns, so the same combinations, in place,
-                # turn the solves of B into those of U = [X, Sigma u, Sigma a].
-                U = self.U
-                U[:, m] = self.B[:, m] - beta - gamma * u_X[h]
-                U[:, m + 1] = 1.0 - gamma * a_X[h]
-                for S in (Z, MB) if MB is not None else (Z,):
-                    S_ua = gamma * (S[:, :m] @ G_ua)
-                    S[:, m] -= beta * S[:, m + 1] + S_ua[:, 0]
-                    S[:, m + 1] -= S_ua[:, 1]
-                V = np.empty_like(U)
-                V[:, :m] = (gamma * H_inv)[:, h].T  # gamma X H^-1
-                V[:, m] = (T - 1) / quad * U[:, m]
-                V[:, m + 1] = U[:, m + 1] / s_11
-                dlogdet, forms = model.precision_derivatives(U, Z, MB, V)
-                score[1:] = dlogdet - forms
-        if not (math.isfinite(f) and np.all(np.isfinite(score))):
+        Floating-point warnings are not silenced here; :func:`reml_estimate`
+        silences them once per fit.
+        """
+        parts = self.profile(x)
+        if parts is None:
+            return _BIG, None
+        gamma, model, quad, logdet, s_11, (Z, factor, XtZ, L, W, beta) = parts
+        T, m = self.T, self.m
+        f = (T - 1) * math.log(quad) + logdet + math.log(s_11)
+        G, _ = self.dtrtrs(L, W, lower=1, trans=1)  # H^-1 D
+        G[:, 0] -= beta * G[:, 1]
+        u_X, a_X = G.T  # X'u, X'a
+        # Not dpotri: its rounding depends on the BLAS thread count, which
+        # flat fits amplify.  dpotrs on the identity rounds alike at any count.
+        H_inv, _ = self.dpotrs(L, self.eye, lower=1)
+        score = np.empty(len(x))
+        score[0] = gamma * (
+            float((H_inv * XtZ[:, :m]).sum())
+            - float(a_X @ a_X) / s_11
+            - (T - 1) * float(u_X @ u_X) / quad
+        ) if x[0] < 40.0 else 0.0
+        if len(x) > 1:
+            # Sigma u = y - beta 1 - gamma X X'u and Sigma a = 1 - gamma X X'a
+            # are B R for an (m + 2) x 2 R, so U = [X, B R], and the same
+            # product turns the solves of B into those of U.
+            U, R, K = self.U, self.R, self.K
+            np.multiply(G, -gamma, out=R[:m])
+            R[m + 1, 0] = -beta
+            U[:, m:] = self.B @ R
+            for S in (Z, factor.MB) if factor is not None else (Z,):
+                S[:, m:] = S @ R
+            np.multiply(H_inv, gamma, out=K[:m, :m])
+            K[m, m] = (T - 1) / quad
+            K[m + 1, m + 1] = 1.0 / s_11
+            dlogdet, forms = model.precision_derivatives(U, Z, factor, K)
+            score[1:] = dlogdet - forms
+        if not (math.isfinite(f) and np.isfinite(score).all()):
             return _BIG, None
         return f, score
 
@@ -228,50 +244,65 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
     step predicts a decrease below ``_FLAT * max(1, |f|)``, or when no
     step longer than ``tol`` in its largest coordinate lowers f.  It stops
     unconverged after ``max_evals`` calls of ``fun``.
+
+    The vectors have a handful of entries, so the bookkeeping runs on
+    Python floats, where numpy's per-call overhead would dominate.
     """
-    x = np.asarray(x0, dtype=float)
+    x = [float(v) for v in x0]
     f, g = fun(x)
     nfev = 1
     if f >= _BIG:
-        return _Start(x, f, False, nfev)
+        return _Start(np.array(x), f, False, nfev)
+    g = g.tolist()
     pairs = []
-    while np.max(np.abs(g)) > tol:
-        d = -g
+    while max(map(abs, g)) > tol:
+        # Two-loop recursion; inner products are correctly rounded (fsum),
+        # as ``sum`` rounds differently from Python 3.12 on.
+        d = [-v for v in g]
         alphas = []
         for s, y, rho in reversed(pairs):
-            alphas.append(rho * (s @ d))
-            d = d - alphas[-1] * y
+            alpha = rho * fsum(map(mul, s, d))
+            alphas.append(alpha)
+            d = [p - alpha * q for p, q in zip(d, y)]
         if pairs:
             s, y, _ = pairs[-1]
-            d = d * ((s @ y) / (y @ y))
+            scale = fsum(map(mul, s, y)) / fsum(map(mul, y, y))
+            d = [v * scale for v in d]
         else:
-            d = d / np.max(np.abs(d))
+            longest = max(map(abs, d))
+            d = [v / longest for v in d]
         for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - rho * (y @ d)) * s
-        slope = g @ d
+            beta = alpha - rho * fsum(map(mul, y, d))
+            d = [p + beta * q for p, q in zip(d, s)]
+        slope = fsum(map(mul, g, d))
         if not slope < 0:  # rounding spoiled the model: restart from the gradient
             pairs.clear()
-            d = -g / np.max(np.abs(g))
-            slope = g @ d
+            longest = max(map(abs, g))
+            d = [-v / longest for v in g]
+            slope = fsum(map(mul, g, d))
         if -slope <= _FLAT * max(1.0, abs(f)):
-            return _Start(x, f, True, nfev)
-        t = min(1.0, _MAX_STEP / np.max(np.abs(d)))
+            return _Start(np.array(x), f, True, nfev)
+        longest = max(map(abs, d))
+        t = min(1.0, _MAX_STEP / longest)
         while True:
             if nfev >= max_evals:
-                return _Start(x, f, False, nfev)
-            f_new, g_new = fun(x + t * d)
+                return _Start(np.array(x), f, False, nfev)
+            f_new, g_new = fun([p + t * q for p, q in zip(x, d)])
             nfev += 1
             if f_new < f and f_new <= f + 1e-4 * t * slope:
                 break
-            if t * np.max(np.abs(d)) <= tol:
-                return _Start(x, f, True, nfev)
+            if t * longest <= tol:
+                return _Start(np.array(x), f, True, nfev)
             # Minimum of the quadratic through f, slope and f_new, kept in [t/10, t/2].
             t = min(max(-slope * t * t / (2.0 * (f_new - f - slope * t)), 0.1 * t), 0.5 * t)
-        s, y = t * d, g_new - g
-        if s @ y > 0:
-            pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-memory:]
-        x, f, g = x + s, f_new, g_new
-    return _Start(x, f, True, nfev)
+        g_new = g_new.tolist()
+        s = [t * v for v in d]
+        y = [a - b for a, b in zip(g_new, g)]
+        sy = fsum(map(mul, s, y))
+        if sy > 0:
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
+        x, f, g = [a + b for a, b in zip(x, s)], f_new, g_new
+    return _Start(np.array(x), f, True, nfev)
 
 
 def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
@@ -324,6 +355,9 @@ def reml_estimate(
 
     Raises
     ------
+    ValueError
+        For an unknown family or AR order, ``n_starts`` or ``max_evals``
+        below 1, or an ``xatol`` that is not finite and positive.
     AllStartsFailed
         If no start yields a finite restricted likelihood.
     """
@@ -333,6 +367,11 @@ def reml_estimate(
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
+    if max_evals < 1:
+        raise ValueError(f"max_evals must be at least 1, got {max_evals}")
+    if not 0 < xatol < math.inf:
+        # max|g| > nan is False: every start would stop where it began.
+        raise ValueError(f"xatol must be finite and positive, got {xatol}")
 
     vals = np.asarray(y, dtype=float)
     if vals.ndim != 1:
@@ -342,17 +381,18 @@ def reml_estimate(
     rng = np.random.default_rng(seed)
     starts = _initial_points(problem, total, rng, n_starts)
 
-    results = [_lbfgs(problem.objective_and_score, x0, max_evals, xatol) for x0 in starts]
-    finite = [r for r in results if r.fun < _BIG]
-    if not finite:
-        raise AllStartsFailed("no start produced a finite restricted likelihood")
-    best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
-    if not best.success:
-        near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
-        best = min(near, key=lambda r: r.fun, default=best)
-
-    # The winning vertex had a finite objective, so it profiles.
-    gamma, model, quad, logdet, s_11, _ = problem.profile(best.x)
+    # Points far out overflow and are scored as outside the domain.
+    with np.errstate(all="ignore"):
+        results = [_lbfgs(problem.objective_and_score, x0, max_evals, xatol) for x0 in starts]
+        finite = [r for r in results if r.fun < _BIG]
+        if not finite:
+            raise AllStartsFailed("no start produced a finite restricted likelihood")
+        best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
+        if not best.success:
+            near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
+            best = min(near, key=lambda r: r.fun, default=best)
+        # The winning vertex had a finite objective, so it profiles.
+        gamma, model, quad, logdet, s_11, _ = problem.profile(best.x)
     sigma2_eps = quad / (problem.T - 1)
     sigma2_A = gamma * sigma2_eps
     loglik = -0.5 * (

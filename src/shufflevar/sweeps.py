@@ -20,6 +20,7 @@ replicate r with seed r.  Everything runs on the calling thread;
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
@@ -67,6 +68,12 @@ class SweepConfig:
         for name in ("m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        # max|g| > nan is False, so a nan tolerance would end every REML
+        # start where it began and report it converged.
+        if not 0 < self.reml_xatol < math.inf:
+            raise ValueError(f"reml_xatol must be finite and positive, got {self.reml_xatol}")
         if not self.sigma2_A_grid:
             raise ValueError("signal-variance grid must be nonempty")
         for name in ("sigma2_A_grid", "sigma2_eps", "sigma2_block", "sigma2_unit"):

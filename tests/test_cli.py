@@ -261,6 +261,10 @@ class TestSimulate:
             ("kind = block\nm = -4\n", "error: m must be at least 1, got -4"),
             ("kind = timeseries\nn = 0\n", "error: n must be at least 1, got 0"),
             ("kind = reml\nreml_starts = 0\n", "error: reml_starts must be at least 1, got 0"),
+            ("kind = reml\nreml_xatol = nan\n", "error: reml_xatol must be finite and positive, got nan"),
+            ("kind = reml\nreml_xatol = -1\n", "error: reml_xatol must be finite and positive, got -1.0"),
+            ("kind = timeseries\nseed = -1\n", "error: seed must be nonnegative, got -1"),
+            ("kind = block\nm = six\n", "error: invalid literal for int() with base 10: 'six'"),
         ],
     )
     def test_bad_config_exits_before_any_sampling(
@@ -277,7 +281,15 @@ class TestSimulate:
         ini.write_text("[sweep]\n" + body)
         out = tmp_path / "sweep.csv"
         assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        # the message names the file, as a malformed file's does
+        assert message.replace("error: ", f"error: {ini}: ", 1) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_option_exits_1_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["simulate", "--preset", "block", "--seed", "-1", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -14,11 +14,20 @@ REML lines were rewritten by the same commands when the Nelder-Mead search
 gave way to L-BFGS on the analytic score.  ``golden_timeseries.csv`` and
 ``golden_reml.csv`` were rewritten whole when the time-series sweep began
 drawing its noise through the O(T) Cholesky factor of
-``CovarianceModel.color`` and its truth from ``stationary_noise_level``, and
-REML began inverting its m x m matrix with ``dpotrs``: shuffle and MoM
-numbers moved by at most 6.3e-15 relative, REML numbers by at most 6.1e-5
-relative (1.1e-5 above 1e-12 in magnitude), and no ``n_fail`` or ``n_reps``
-changed.  Every other file is as first written.
+``CovarianceModel.color`` and its truth from the stationary lag counts (now
+in ``noise.noise_level``), and REML began inverting its m x m matrix with
+``dpotrs``: shuffle and MoM numbers moved by at most 6.3e-15 relative, REML
+numbers by at most 6.1e-5 relative (1.1e-5 above 1e-12 in magnitude), and
+no ``n_fail`` or ``n_reps`` changed.  The two ``reml:exp_nugget`` lines of
+``golden_reml.csv`` were rewritten by the same command, and no other line,
+when each REML evaluation began to factor its tridiagonal matrix once and
+to take the score's right-hand solves from that one solve: they moved by
+at most 2.9e-4 relative (4.1e-5 above 1e-12 in magnitude), as fits stopped
+elsewhere on the flat lam1 -> 1, lam2 -> inf ridge, and no ``n_fail`` or
+``n_reps`` changed.  (One replicate's reported -2 log L rose by 6.8e-4;
+in 40-digit arithmetic its old and new fits differ by 3e-9, so that gap
+was rounding in the old value at lam2 = 6.4e12.)  Every other file is as
+first written.
 """
 
 import hashlib

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import shufflevar
 from scipy.linalg import solve_triangular
 
 from shufflevar import (
@@ -184,6 +190,50 @@ class TestScore:
         assert problem.objective(np.array(x)) == _BIG
 
 
+# Evaluates the objective and score at paper scale (T = 1800, m = 120) and
+# prints their bits.  Long T x k reductions are where a BLAS would split
+# the work across threads and round differently.
+_THREADED_EVALUATIONS = """
+import math
+import numpy as np
+from shufflevar.noise import CovarianceModel
+from shufflevar.reml import _RemlProblem
+from shufflevar.sweeps import make_random_schedule
+
+rng = np.random.default_rng(5)
+d = make_random_schedule(120, 15, rng)
+noise = CovarianceModel.exp_nugget(0.7, 30.0).color(rng.standard_normal((1, d.T)))[0]
+y = rng.normal(0.0, 0.6, d.m)[d.stimulus_index] + noise
+points = {
+    "iid": [[math.log(0.3)]],
+    # both of exp_nugget's solves: lam1 delta below nu, and above it
+    "exp_nugget": [[math.log(0.3), 0.8, math.log(25.0)], [math.log(0.1), 6.0, math.log(30.0)]],
+    "ar": [[math.log(0.3), 0.5, -0.2, 0.1]],
+}
+for family, xs in points.items():
+    problem = _RemlProblem(y, d, family, 3)
+    for x in xs:
+        f, score = problem.objective_and_score(np.array(x))
+        print(family, f.hex(), *(float(v).hex() for v in score))
+"""
+
+
+def test_objective_and_score_bits_do_not_depend_on_blas_threads():
+    src = str(Path(shufflevar.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADED_EVALUATIONS],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
+
+
 class TestIidEquivalence:
     def test_matches_mom_on_balanced_designs(self, small_design):
         # balanced one-way layout: REML under iid noise has the classical
@@ -269,6 +319,18 @@ class TestGuards:
         # one start would run, but the fit would report n_starts of them
         with pytest.raises(ValueError, match="n_starts must be at least 1"):
             reml_estimate(np.zeros(small_design.T), small_design, n_starts=n_starts)
+
+    @pytest.mark.parametrize("xatol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_xatol_rejected(self, small_design, xatol):
+        # max|g| > nan is False: every start used to stop where it began,
+        # reported converged
+        with pytest.raises(ValueError, match="xatol must be finite and positive"):
+            reml_estimate(np.zeros(small_design.T), small_design, xatol=xatol)
+
+    @pytest.mark.parametrize("max_evals", [0, -1])
+    def test_max_evals_below_one_rejected(self, small_design, max_evals):
+        with pytest.raises(ValueError, match="max_evals must be at least 1"):
+            reml_estimate(np.zeros(small_design.T), small_design, max_evals=max_evals)
 
     def test_unknown_family(self, small_design):
         with pytest.raises(ValueError):

@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_reml_xatol_rejected(self, value):
+        # with nan every REML start stopped where it began, reported converged
+        with pytest.raises(ValueError, match="reml_xatol must be finite and positive"):
+            SweepConfig(reml_xatol=value)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SweepConfig(seed=-1)
+
     def test_nan_lam2_rejected(self):
         with pytest.raises(ValueError, match="lam2"):
             run_timeseries_sweep(replace(SMALL_TS, lam2=float("nan")))
