@@ -180,30 +180,42 @@ def _columns(y, design: DesignSchedule) -> np.ndarray:
     return Y.reshape(design.T, -1)
 
 
-def treatment_averages(y, design: DesignSchedule) -> np.ndarray:
-    """Mean response per stimulus, in first-appearance order (m, or m x S)."""
+def treatment_averages(y, design: DesignSchedule, shuffle=None) -> np.ndarray:
+    """Mean response per stimulus, in first-appearance order (m, or m x S).
+
+    With a slot index ``shuffle`` these are the averages of ``y[shuffle]``,
+    read from ``y`` through the composed index without forming the copy.
+    """
     Y = _columns(y, design)
     # Adding the repeats one at a time sums each group in time order, as
     # np.bincount does, and holds nothing larger than m x S.
     slots = design.stimulus_groups()
+    if shuffle is not None:
+        slots = np.asarray(shuffle)[slots]
     sums = Y[slots[:, 0]]
     for j in range(1, design.n):
         sums += Y[slots[:, j]]
-    avgs = sums / design.n
-    return avgs[:, 0] if np.ndim(y) == 1 else avgs
+    sums /= design.n
+    return sums[:, 0] if np.ndim(y) == 1 else sums
 
 
-def ms_between(y, design: DesignSchedule):
+def ms_between(y, design: DesignSchedule, shuffle=None):
     """Between-treatment mean square: sample variance of the treatment averages.
 
     Equal to ``||(B - G) y||^2 / ((m - 1) n)`` where ``B`` averages within
-    treatments and ``G`` averages globally.
+    treatments and ``G`` averages globally.  With a slot index ``shuffle``
+    (a permutation's mapping) it is the contrast of ``y[shuffle]``, bit for
+    bit, with no shuffled copy of ``y``.
     """
     # One contiguous row per series, so each reduces as a 1-D series would.
-    A = np.ascontiguousarray(treatment_averages(_columns(y, design), design).T)
+    A = np.ascontiguousarray(treatment_averages(_columns(y, design), design, shuffle).T)
     A -= A.mean(axis=1, keepdims=True)
     out = np.sum(A**2, axis=1) / (design.m - 1)
     return float(out[0]) if np.ndim(y) == 1 else out
+
+
+# Series whose within-treatment residuals :func:`ms_within` holds at once.
+_RESIDUAL_BLOCK = 64
 
 
 def ms_within(y, design: DesignSchedule):
@@ -215,10 +227,17 @@ def ms_within(y, design: DesignSchedule):
     if design.n < 2:
         raise NoReplication("within-treatment contrast needs n >= 2")
     Y = _columns(y, design)
-    avgs = treatment_averages(Y, design)
-    # S x T residuals, one contiguous row per series: the only T x S temporary.
-    resid = np.take(np.ascontiguousarray(avgs.T), design.stimulus_index, axis=1)
-    np.subtract(Y.T, resid, out=resid)
-    np.square(resid, out=resid)
-    out = np.sum(resid, axis=1) / (design.m * (design.n - 1))
+    avgs = np.ascontiguousarray(treatment_averages(Y, design).T)
+    # Residuals of a block of series at a time, one contiguous row per series.
+    sums = np.empty(len(avgs))
+    resid = np.empty((min(_RESIDUAL_BLOCK, len(avgs)), design.T))
+    for j in range(0, len(avgs), _RESIDUAL_BLOCK):
+        part = resid[: min(_RESIDUAL_BLOCK, len(avgs) - j)]
+        cols = slice(j, j + len(part))
+        # mode="clip" (the indices are valid) writes to out without a buffer.
+        np.take(avgs[cols], design.stimulus_index, axis=1, out=part, mode="clip")
+        np.subtract(Y[:, cols].T, part, out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=1, out=sums[cols])
+    out = sums / (design.m * (design.n - 1))
     return float(out[0]) if np.ndim(y) == 1 else out

@@ -108,7 +108,7 @@ def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):
         )
     Y = _columns(y, design)
     total = ms_between(Y, design)
-    raw = (total - ms_between(perms.apply(perm, Y), design)) / (1.0 - a)
+    raw = (total - ms_between(Y, design, perm.mapping)) / (1.0 - a)
     fits = [_finish("shuffle", r, t, alpha=a) for r, t in zip(raw.tolist(), total.tolist())]
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 

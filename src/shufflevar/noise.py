@@ -196,29 +196,29 @@ class CovarianceModel:
             return _ar_precision_solve(B, self.params) + (None,)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
 
-    def color(self, Z: np.ndarray) -> np.ndarray:
-        """``Z @ L'`` for an R x T ``Z``, L the lower Cholesky factor of Sigma, in O(R T).
+    def color(self, X: np.ndarray) -> None:
+        """``X <- L X`` in place for a T x R ``X``, L the lower Cholesky factor
+        of Sigma, in O(T R).
 
-        Neither Sigma nor L is formed: each row of the result is ``L z`` for
-        the matching row z of Z, so rows of standard normals come out with
-        covariance Sigma.  ``iid`` copies Z (L = I); ``exp_nugget`` and ``ar``
+        Neither Sigma nor L is formed, and no second T x R array: each column
+        of X becomes ``L z`` for the column z it held, so columns of standard
+        normals come out with covariance Sigma.  A length-T ``X`` is one
+        column.  ``iid`` leaves X as it is (L = I); ``exp_nugget`` and ``ar``
         run the innovations form of :func:`_exp_nugget_color` and
-        :func:`_ar_color` over t, vectorised across rows.
+        :func:`_ar_color` down the rows, vectorised across columns, which is
+        fastest on a C-ordered X.
 
         Raises :class:`NonStationary` for non-stationary AR coefficients and
         ``ValueError`` for ``block``, whose covariance needs the design.
         """
-        Z = np.asarray(Z, dtype=float)
-        if self.family == "iid":
-            return Z.copy()
         self.autocorrelations(1)  # checks the parameters, and rejects block
-        # Work on the transpose: one contiguous row of R values per time slot.
-        X = np.array(Z.T, order="C")
+        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim in (1, 2)):
+            raise TypeError("color works in place on a float64 array of shape (T,) or (T, R)")
+        X = X.reshape(len(X), -1)  # a view: a series is one column
         if self.family == "exp_nugget":
             _exp_nugget_color(X, *self.params)
-        else:
+        elif self.family == "ar":
             _ar_color(X, self.params)
-        return X.T
 
     def precision_derivatives(
         self, U: np.ndarray, SU: np.ndarray, factor: Optional[_Tridiagonal], K: np.ndarray
@@ -517,6 +517,9 @@ def _ar_precision_derivatives(U: np.ndarray, V: np.ndarray, coefficients: Sequen
     return dlogdet, forms
 
 
+_COLOR_CHUNK = 64  # rows of X that :func:`_exp_nugget_color` scales at once
+
+
 def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
     """``X <- L X`` in place for T x R ``X``, L the Cholesky factor of
     ``Sigma = (1 - lam1) I + lam1 K``, K the AR(1) correlation at
@@ -539,8 +542,12 @@ def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
     At nu = 0 the bracket's second term is 0, its limit, so ``Sigma = 11'``
     (lam1 = 1, lam2 = inf) gives the exact ``x = z_1 1``; at lam1 = 0 the
     bracket is exactly 0 and ``x = z``.
+
+    X is overwritten a chunk of rows at a time: ``g_t = nu z_t / sqrt(d_t)``
+    is taken from each chunk before it is scaled, and the last row of g
+    carries into the next chunk, so nothing of X's size is allocated.
     """
-    T = X.shape[0]
+    T, R = X.shape
     phi = math.exp(-1.0 / lam2)
     nu = 1.0 - lam1
     lam1_delta = -lam1 * math.expm1(-2.0 / lam2)
@@ -550,13 +557,20 @@ def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
         d[t] = nu + e
         e = lam1_delta + (nu * phi * phi * e / (nu + e) if nu > 0 else 0.0)
     root = np.sqrt(d)
-    G = X[:-1] * (nu / root[:-1, None]) if nu > 0 else np.zeros_like(X[:-1])
-    X *= root[:, None]
-    step = np.empty(X.shape[1])
-    for t in range(1, T):
-        np.subtract(X[t - 1], G[t - 1], out=step)
-        step *= phi
-        X[t] += step
+    scale = nu / root if nu > 0 else None
+    G = np.zeros((min(_COLOR_CHUNK, T) + 1, R))  # G[j] = g of the row above chunk row j
+    step = np.empty(R)
+    for t0 in range(0, T, _COLOR_CHUNK):
+        rows = X[t0 : t0 + _COLOR_CHUNK]
+        k = len(rows)
+        if scale is not None:
+            np.multiply(rows, scale[t0 : t0 + k, None], out=G[1 : k + 1])
+        rows *= root[t0 : t0 + k, None]
+        for j in range(1 if t0 == 0 else 0, k):
+            np.subtract(X[t0 + j - 1], G[j], out=step)
+            step *= phi
+            rows[j] += step
+        G[0] = G[k]
 
 
 def _ar_color(X: np.ndarray, coefficients: Sequence[float]) -> None:
@@ -701,9 +715,14 @@ def substream(seed, *key) -> np.random.Generator:
     """Deterministic RNG substream for (seed, key...).
 
     Each replicate draws from its own substream, so its draws do not depend
-    on how many replicates ran before it.
+    on how many replicates ran before it.  A key of parts in [0, 2^32) is
+    handed over as one uint32 array: the same entropy words as the tuple,
+    which ``SeedSequence`` would convert one part at a time.
     """
-    return np.random.default_rng(np.random.SeedSequence((seed, *key)))
+    parts = (seed, *key)
+    if all(isinstance(p, (int, np.integer)) and 0 <= p < 2**32 for p in parts):
+        parts = np.array(parts, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(parts))
 
 
 def sample_experiment(

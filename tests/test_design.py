@@ -87,7 +87,7 @@ class TestSeriesMatrix:
         d = build_design(rng.permutation(np.repeat(np.arange(m), n)).tolist())
         h = d.stimulus_index
         scales = np.logspace(-3, 3, 7)
-        # "columns" is the transposed view of an S x T array, as sweeps pass it.
+        # "columns" is the transposed view of an S x T array.
         if layout == "rows":
             Y = rng.standard_normal((d.T, 7)) * scales
         else:
@@ -101,6 +101,24 @@ class TestSeriesMatrix:
             assert msw[j] == np.sum((y - avgs[h]) ** 2) / (m * (n - 1))
             assert ms_between(y, d) == msb[j]
             assert ms_within(y, d) == msw[j]
+
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_blocks_of_series_and_shuffle_index(self, layout):
+        # 150 series span several blocks of ms_within's residuals, the last
+        # one partial; a shuffle index reads y[g] without the copy.
+        rng = np.random.default_rng(11)
+        d = build_design(rng.permutation(np.repeat(np.arange(30), 4)).tolist())
+        if layout == "rows":
+            Y = rng.standard_normal((d.T, 150))
+        else:
+            Y = rng.standard_normal((150, d.T)).T
+        g = rng.permutation(d.T)
+        msw, shuffled = ms_within(Y, d), ms_between(Y, d, g)
+        assert np.array_equal(shuffled, ms_between(Y[g], d))
+        for j in range(Y.shape[1]):
+            y = np.ascontiguousarray(Y[:, j])
+            assert msw[j] == ms_within(y, d)
+            assert shuffled[j] == ms_between(y[g], d)
 
     def test_series_gives_float(self):
         d = build_design(["a", "a", "b", "b"])

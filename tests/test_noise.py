@@ -313,7 +313,7 @@ class TestColor:
       first-order perturbation of the factor by both backward errors, with
       kappa an upper bound on Sigma's condition number from the spectral
       density (Toeplitz eigenvalues lie within its range).
-    L itself is ``color(I)'``, so it must be exactly lower triangular.
+    L itself is I coloured in place, so it must be exactly lower triangular.
     """
 
     EPS = np.finfo(float).eps
@@ -341,13 +341,16 @@ class TestColor:
         rng = np.random.default_rng((T, len(family), int(family[-1]) if family[-1].isdigit() else 0))
         for model, kappa in self._models(family, rng, 2 if T == 1800 else 25):
             Sigma = _toeplitz(model.autocorrelations(T))
-            L = model.color(np.eye(T)).T
+            L = np.eye(T)
+            model.color(L)
             assert np.array_equal(L, np.tril(L)), model
             assert np.all(np.diag(L) > 0), model
             assert np.abs(L @ L.T - Sigma).max() <= (T + 1) * self.EPS, model
             Z = rng.standard_normal((5, T))
             want = Z @ psd_cholesky(Sigma).T
-            assert np.abs(model.color(Z) - want).max() <= (
+            X = Z.T.copy()
+            model.color(X)
+            assert np.abs(X.T - want).max() <= (
                 (T + 1) * self.EPS * kappa * np.abs(Z).max()
             ), model
 
@@ -356,7 +359,8 @@ class TestColor:
     @pytest.mark.parametrize("lam2", [1e-300, np.inf])
     def test_degenerate_exp_nugget_is_exact(self, lam1, lam2, T):
         model = CovarianceModel.exp_nugget(lam1, lam2)
-        L = model.color(np.eye(T)).T
+        L = np.eye(T)
+        model.color(L)
         assert np.array_equal(L @ L.T, _toeplitz(model.autocorrelations(T)))
         want = np.eye(T)  # Sigma = I ...
         if lam1 == 1.0 and lam2 == np.inf:  # ... or Sigma = 11', and x = z_1 1
@@ -364,21 +368,27 @@ class TestColor:
             want[:, 0] = 1.0
         assert np.array_equal(L, want)
 
-    def test_rows_are_independent_of_each_other(self):
+    def test_columns_are_independent_of_each_other(self):
+        # T = 150 spans three chunks of the recursion's rows, the last one
+        # partial, so the carry from chunk to chunk is exercised.
         model = CovarianceModel.exp_nugget(0.7, 30.0)
-        Z = np.random.default_rng(0).standard_normal((7, 50))
-        kept = Z.copy()
-        together = model.color(Z)
-        assert np.array_equal(Z, kept)
-        assert np.array_equal(together[3], model.color(Z[3:4])[0])
-        assert np.array_equal(model.color(np.asfortranarray(Z)), together)
+        Z = np.random.default_rng(0).standard_normal((150, 7))
+        together = Z.copy()
+        assert model.color(together) is None
+        alone = Z[:, 3].copy()
+        model.color(alone)
+        assert np.array_equal(together[:, 3], alone)
+        fortran = np.asfortranarray(Z)
+        model.color(fortran)
+        assert np.array_equal(fortran, together)
 
     def test_sample_covariance(self):
         # 20,000 rows at T = 6: each entry of the sample covariance has SE
         # below sqrt(2 / 20000) = 0.01, so 0.05 is 5 SE.
         model = CovarianceModel.ar([0.5, -0.3])
-        X = model.color(np.random.default_rng(1).standard_normal((20000, 6)))
-        assert np.abs(X.T @ X / len(X) - _toeplitz(model.autocorrelations(6))).max() < 0.05
+        X = np.random.default_rng(1).standard_normal((20000, 6)).T.copy()
+        model.color(X)
+        assert np.abs(X @ X.T / X.shape[1] - _toeplitz(model.autocorrelations(6))).max() < 0.05
 
     def test_errors(self):
         Z = np.zeros((2, 4))

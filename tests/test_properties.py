@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shufflevar import (
@@ -15,6 +15,7 @@ from shufflevar import (
     shuffle_estimate,
 )
 from shufflevar.estimators import TrivialPermutation
+from shufflevar.noise import substream
 from shufflevar.permutations import PermutationSpec, alpha_dense, block_random_perm
 
 design_params = st.tuples(
@@ -153,3 +154,26 @@ def test_block_random_respects_blocks(params, n_blocks):
     design = build_design(sched.tolist(), blocks.tolist())
     perm = block_random_perm(design, seed=seed ^ 0x5EED)
     assert np.array_equal(design.block_index[perm.mapping], design.block_index)
+
+
+@given(st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0, 2**32 - 1]),
+        st.integers(min_value=2**32, max_value=2**80),
+    ),
+    min_size=1, max_size=5,
+))
+@settings(max_examples=150, deadline=None)
+@example([0, 2, 0, 0])
+@example([2**32 - 1, 2, 2**32 - 1, 0])
+@example([7, 2, 2**32, 3])
+def test_substream_seeds_as_the_tuple_key(parts):
+    # substream hands parts below 2^32 over as one uint32 array; the
+    # entropy words, and so every draw, are those of the tuple.
+    want = np.random.SeedSequence(tuple(parts))
+    if max(parts) < 2**32:
+        got = np.random.SeedSequence(np.array(parts, dtype=np.uint32))
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+    state = substream(*parts).bit_generator.state
+    assert state == np.random.default_rng(want).bit_generator.state

@@ -202,7 +202,8 @@ from shufflevar.sweeps import make_random_schedule
 
 rng = np.random.default_rng(5)
 d = make_random_schedule(120, 15, rng)
-noise = CovarianceModel.exp_nugget(0.7, 30.0).color(rng.standard_normal((1, d.T)))[0]
+noise = rng.standard_normal(d.T)
+CovarianceModel.exp_nugget(0.7, 30.0).color(noise)
 y = rng.normal(0.0, 0.6, d.m)[d.stimulus_index] + noise
 points = {
     "iid": [[math.log(0.3)]],

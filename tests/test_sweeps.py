@@ -224,6 +224,23 @@ class TestTimeseriesSweep:
         assert peak < 4200**2 * 8 / 10
 
 
+@pytest.mark.parametrize("sweep", [run_timeseries_sweep, run_block_sweep])
+def test_one_t_by_r_matrix_per_grid_point(sweep):
+    # Paper scale, two grid points: a grid point's T x R matrix is the only
+    # array of its size alive, and the previous one is freed before the
+    # next is drawn, so the sweep peaks well below two of them.
+    cfg = SweepConfig(m=120, n=15, n_blocks=20, sigma2_A_grid=(0.0, 0.5),
+                      replicates=1000, seed=2, estimators=("shuffle", "mom"))
+    sweep(replace(cfg, replicates=2))  # so first-call imports are not counted
+    tracemalloc.start()
+    try:
+        sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1800 * 1000 * 8
+
+
 class TestRemlComparison:
     def test_appends_reml(self):
         from dataclasses import replace
