@@ -60,6 +60,8 @@ def _emit(args, lines) -> None:
 
 def cmd_estimate(args) -> int:
     methods = [m.strip() for m in args.estimators.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("--estimators names no estimator")
     for method in methods:
         est.check_estimator(method)
     design, names, Y = sio.read_dataset(args.input)

@@ -180,7 +180,10 @@ def parse_permutation(
     """Build a permutation from a CLI flag value.
 
     Accepted forms: ``identity``, ``reverse``, ``shift:K``,
-    ``block-random``, ``odd-even``, ``file:PATH``.
+    ``block-random``, ``odd-even``, ``file:PATH``.  A file lists the 1-based
+    source slot of each slot, one a line (:func:`perm_from_indices`); blank
+    lines are skipped.  Errors name the spec, and for a file the path and
+    the line.
     """
     if spec == "identity":
         return identity_perm(design.T)
@@ -191,17 +194,49 @@ def parse_permutation(
     if spec == "odd-even":
         return odd_even_swap(design.T)
     if spec.startswith("shift:"):
-        return cyclic_shift(design.T, int(spec.split(":", 1)[1]))
+        text = spec.split(":", 1)[1]
+        try:
+            k = int(text)
+        except ValueError:
+            raise ValueError(f"permutation {spec!r}: shift {text!r} is not an integer") from None
+        try:
+            return cyclic_shift(design.T, k)
+        except ValueError as exc:
+            raise ValueError(f"permutation {spec!r}: {exc}") from None
     if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            indices = [int(line) for line in fh if line.strip()]
-        if len(indices) != design.T:
-            raise ValueError(
-                f"permutation file has {len(indices)} entries, design has T={design.T}"
-            )
-        return perm_from_indices(indices, family="custom")
+        return _read_permutation_file(spec, spec.split(":", 1)[1], design.T)
     raise ValueError(f"unknown permutation spec {spec!r}")
+
+
+def _read_permutation_file(spec: str, path: str, T: int) -> PermutationSpec:
+    """The permutation a ``file:PATH`` spec names, checked line by line."""
+    entries = []  # (line number, index)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    entries.append((lineno, int(line)))
+                except ValueError:
+                    raise ValueError(
+                        f"permutation {spec!r}: {path}:{lineno}: "
+                        f"{line.strip()!r} is not an integer index"
+                    ) from None
+    if len(entries) != T:
+        raise ValueError(
+            f"permutation {spec!r}: {path} has {len(entries)} entries, design has T={T}"
+        )
+    first = {}  # index -> the line it first appears on
+    for lineno, index in entries:
+        if 1 <= index <= T and index not in first:
+            first[index] = lineno
+            continue
+        reason = (
+            f"repeats line {first[index]}; each of 1..{T} must appear once"
+            if index in first
+            else f"is outside 1..{T} (indices are 1-based)"
+        )
+        raise ValueError(f"permutation {spec!r}: {path}:{lineno}: index {index} {reason}")
+    return perm_from_indices([index for _, index in entries], family="custom")
 
 
 def parse_noise(spec: str) -> CovarianceModel:

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignSchedule, MissingBlocks
+from .design import DesignSchedule, MissingBlocks, lag_pair_counts
 
 
 class NonStationary(ValueError):
@@ -173,15 +173,18 @@ class CovarianceModel:
         rho[0] = 1.0
         return rho
 
-    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float, Optional[_Tridiagonal]]:
+    def precision_solve(
+        self, B: np.ndarray
+    ) -> Tuple[np.ndarray, float, Optional[_ExpNuggetPrecision]]:
         """``(Sigma^-1 B, log det Sigma, factor)`` for a T x k ``B``, in O(T k).
 
         Sigma is never formed: ``iid`` returns ``(B, 0, None)``, and
         ``exp_nugget`` and ``ar`` have banded precision matrices (see
-        :func:`_exp_nugget_precision_solve` and :func:`_ar_precision_solve`).
-        ``factor`` is the tridiagonal M factored inside ``exp_nugget``'s
-        solve, with ``factor.MB = M^-1 B``, which its
-        :meth:`precision_derivatives` reuse; it is None for the other families.
+        :class:`_ExpNuggetPrecision` and :func:`_ar_precision_solve`).
+        ``factor`` is ``exp_nugget``'s :class:`_ExpNuggetPrecision`, which
+        holds the tridiagonal M factored in the solve and ``factor.MU =
+        M^-1 B`` for :meth:`precision_derivatives`; it is None for the other
+        families.
 
         Raises :class:`NonStationary` for non-stationary AR coefficients,
         ``np.linalg.LinAlgError`` where a factor is not positive definite,
@@ -191,7 +194,8 @@ class CovarianceModel:
         if self.family == "iid":
             return B, 0.0, None
         if self.family == "exp_nugget":
-            return _exp_nugget_precision_solve(B, *self.params)
+            factor = _ExpNuggetPrecision(np.asfortranarray(B))
+            return factor.SU, factor.solve(*self.params), factor
         if self.family == "ar":
             return _ar_precision_solve(B, self.params) + (None,)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
@@ -221,14 +225,15 @@ class CovarianceModel:
             _ar_color(X, self.params)
 
     def precision_derivatives(
-        self, U: np.ndarray, SU: np.ndarray, factor: Optional[_Tridiagonal], K: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, U: np.ndarray, factor: Optional[_ExpNuggetPrecision], K: np.ndarray
+    ) -> Tuple[Sequence[float], Sequence[float]]:
         """Derivatives in the free parameters p, in O(T k^2) for a T x k U.
 
         The free parameters are ``(logit lam1, log lam2)`` for
         ``exp_nugget``, the coefficients for ``ar`` and none for ``iid``.
-        Given ``SU = Sigma^-1 U`` and, for ``exp_nugget``, the ``factor`` of
-        :meth:`precision_solve` with ``factor.MB = M^-1 U``, returns
+        ``exp_nugget`` reads U through the ``factor`` of
+        :meth:`precision_solve` of U (or one whose ``SU`` and ``MU`` the
+        caller has set to ``Sigma^-1 U`` and ``M^-1 U``).  Returns
         ``dlogdet[j] = d log det Sigma / dp_j`` and
         ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 W_i``, summed
         over the columns of ``W = U K`` for a k x k ``K``.
@@ -236,7 +241,7 @@ class CovarianceModel:
         if self.family == "iid":
             return np.zeros(0), np.zeros(0)
         if self.family == "exp_nugget":
-            return _exp_nugget_precision_derivatives(SU, factor, K, *self.params)
+            return factor.derivatives(K)
         if self.family == "ar":
             return _ar_precision_derivatives(U, U @ K, self.params)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
@@ -250,189 +255,198 @@ def _lapack():
     return lapack
 
 
-def _tridiagonal_pivots(c: float, eps: float, b: float, T: int) -> np.ndarray:
-    """LDL' pivots of ``c L + eps I + b (e_1 e_1' + e_T e_T')``, L the path
-    Laplacian (diagonal ``[1, 2, ..., 2, 1]``, off-diagonal -1), c, eps, b >= 0.
-
-    The pivots are ``c + r_k`` with ``r_1 = eps + b`` and the subtraction-free
-    ``r_k = f(r_{k-1})``, ``f(r) = eps + c r / (c + r)``, and the last is
-    ``b + f(r_{T-1})``.  They keep full relative accuracy when eps is far
-    below c, where the rounded diagonal ``2c + eps`` has lost eps.  f is a
-    Moebius map with fixed points ``r+ = (eps + s) / 2`` and
-    ``r- = -eps c / r+``, ``s = sqrt(eps^2 + 4 eps c)``, so
-    ``w_k = (r_k - r+) / (r_k - r-)`` is geometric with ratio
-    ``(c + r-) / (c + r+)`` and the recurrence has a closed form.
-
-    Returns the pivots and ``r_1..r_{T-1}``.
-    """
-    s = math.sqrt(eps * eps + 4.0 * eps * c)
-    r_plus = 0.5 * (eps + s)
-    r_minus = -eps * c / r_plus
-    r1 = eps + b
-    ratio = (c + r_minus) / (c + r_plus)
-    w = ratio ** np.arange(T - 1.0)
-    w *= (r1 - r_plus) / (r1 - r_minus)
-    r = w * s
-    r /= 1.0 - w
-    r += r_plus
-    pivots = np.empty(T)
-    np.add(c, r, out=pivots[:-1])
-    r_last = float(r[-1])
-    pivots[-1] = eps + b + c * r_last / (c + r_last)
-    return pivots, r
-
-
-def _tridiagonal_inverse_bands(factor: _Tridiagonal):
-    """Diagonal and first off-diagonal of ``M^-1``, M the matrix of
-    :func:`_tridiagonal_pivots`, in O(T) from its pivots and r.
-
-    Eliminating from both ends gives ``(M^-1)_kk = 1 / (eps + b_k + l_k + l'_k)``
-    with ``b_k = b`` at the two ends and 0 elsewhere, ``l_1 = 0``,
-    ``l_k = c r_{k-1} / (c + r_{k-1})`` what elimination from the top adds
-    to slot k, and ``l'`` the same from the bottom, which is l reversed (M is
-    persymmetric).  Every term is nonnegative, so nothing cancels.  Above the
-    diagonal, ``(M^-1)_{k,k+1} = c (M^-1)_{k+1,k+1} / p_k``.
-    """
-    c, pivots = factor.c, factor.pivots
-    left = np.empty(len(pivots))
-    left[0] = 0.0
-    np.divide(c * factor.r, pivots[:-1], out=left[1:])  # pivots[:-1] = c + r
-    rest = factor.eps + left
-    rest += left[::-1]
-    rest[0] += factor.b
-    rest[-1] += factor.b
-    diag = 1.0 / rest
-    return diag, c * diag[1:] / pivots[:-1]
-
-
 def _dot(P: np.ndarray, Q: np.ndarray) -> float:
     """``sum_ij P_ij Q_ij``, in an order that no BLAS thread count changes."""
     return float(np.einsum("ij,ij->", P, Q))
 
 
-def _row_diffs(P: np.ndarray) -> np.ndarray:
-    """``P[1:] - P[:-1]`` for a T x k ``P``, raveled column by column into
-    one row with a 0 between columns, for :func:`_dot`.
+class _ExpNuggetPrecision:
+    """``exp_nugget``'s structured precision for one T x k right-hand side B.
 
-    One difference of the column-major ravel costs a third of the sliced
-    one.
-    """
-    v = P.ravel(order="F")
-    d = v[1:] - v[:-1]
-    d[len(P) - 1 :: len(P)] = 0.0
-    return d[None]
-
-
-def _d_form(P: np.ndarray, Q: np.ndarray) -> float:
-    """``sum_i P_i' D Q_i`` for ``D = diag(1, 2, ..., 2, 1)``."""
-    ends = slice(None, None, len(P) - 1)  # the first and last rows
-    return 2.0 * _dot(P, Q) - _dot(P[ends], Q[ends])
-
-
-class _Tridiagonal(NamedTuple):
-    """``exp_nugget``'s ``M = c L + eps I + b (e_1 e_1' + e_T e_T')`` at one
-    point, factored once by :func:`_exp_nugget_precision_solve` for its
-    solves, its derivatives and the bands of its inverse."""
-
-    u: float
-    phi: float
-    delta: float
-    c: float
-    eps: float
-    b: float
-    pivots: np.ndarray  # LDL' pivots (:func:`_tridiagonal_pivots`)
-    r: np.ndarray
-    MB: np.ndarray  # M^-1 B for the B solved; the caller may update it to M^-1 U
-
-
-def _exp_nugget_precision_solve(B: np.ndarray, lam1: float, lam2: float):
-    """Structured solve for ``Sigma = (1 - lam1) I + lam1 K``.
-
-    K is the AR(1) correlation at ``phi = exp(-1/lam2)``.  With ``u = 1 - phi``
-    and ``delta = 1 - phi^2``, ``A = delta K^-1 = phi L + u^2 I + phi u
-    (e_1 e_1' + e_T e_T')`` is tridiagonal, so with ``nu = 1 - lam1`` and
-    ``M = nu A + lam1 delta I``:
+    ``Sigma = (1 - lam1) I + lam1 K``, K the AR(1) correlation at
+    ``phi = exp(-1/lam2)``.  With ``u = 1 - phi`` and ``delta = 1 - phi^2``,
+    ``A = delta K^-1 = phi L + u^2 I + phi u (e_1 e_1' + e_T e_T')`` is
+    tridiagonal, L the path Laplacian (diagonal ``[1, 2, ..., 2, 1]``,
+    off-diagonal -1).  So with ``nu = 1 - lam1`` and the tridiagonal
+    ``M = nu A + lam1 delta I = c L + eps I + b (e_1 e_1' + e_T e_T')``:
 
         Sigma^-1 = M^-1 A = (I - lam1 delta M^-1) / nu,
         log det Sigma = log det M - log delta.
 
-    Both forms are exact; the second is used when ``lam1 delta < nu``.  The
-    first rounds A's smallest eigenvalue (about delta / T, along the
-    constant vector) to absolute precision, which costs digits once
-    ``lam2 >> T``; the second loses about ``lam1 delta / nu`` instead.
-    ``M^-1 B`` is returned in the :class:`_Tridiagonal` factor too: the
-    second form solves for it, and the first gives it as
-    ``(B - nu Sigma^-1 B) / (lam1 delta)``, which then loses at most a
-    factor ``1 + 4 nu / (lam1 delta) <= 5``.
+    :meth:`solve` factors M once per point and sets ``SU = Sigma^-1 B`` and
+    ``MU = M^-1 B``; :meth:`derivatives` and the bands of M^-1 reuse the
+    factor.  A caller may update SU and MU in place to the solves of another
+    U before :meth:`derivatives`.  The constants and every T x k array are
+    kept from one point to the next, so a point allocates nothing that size.
     """
-    T = B.shape[0]
-    u = -math.expm1(-1.0 / lam2)
-    phi = 1.0 - u
-    delta = -math.expm1(-2.0 / lam2)
-    nu = 1.0 - lam1
-    c = nu * phi
-    eps, b = nu * u * u + lam1 * delta, c * u
-    pivots, r = _tridiagonal_pivots(c, eps, b, T)
-    off = -c / pivots[:-1]
-    logdet = float(np.log(pivots).sum()) - math.log(delta)
-    dpttrs = _lapack().dpttrs
-    if lam1 * delta < nu:
-        MB, _ = dpttrs(pivots, off, B)
-        Y = MB * (-lam1 * delta)
-        Y += B
-        Y /= nu
-    else:
-        dB = B[1:] - B[:-1]
-        AB = (u * u) * B
-        AB[:-1] -= phi * dB
-        AB[1:] += phi * dB
-        AB[[0, -1]] += (phi * u) * B[[0, -1]]
-        Y, _ = dpttrs(pivots, off, AB, overwrite_b=1)
-        MB = (B - nu * Y) / (lam1 * delta)
-    return Y, logdet, _Tridiagonal(u, phi, delta, c, eps, b, pivots, r, MB)
 
+    def __init__(self, B: np.ndarray):
+        T, k = B.shape
+        self.B = B  # column-major, as dpttrs takes it
+        self.steps = np.arange(T - 1.0)
+        self.pivots, self.r, self.w = np.empty(T), np.empty(T - 1), np.empty(T - 1)
+        # Weights whose products with diag(M^-1) give tr M^-1, its inner
+        # part and, through ``off = -c / p`` (M's factor, row 2), the sum of
+        # M^-1's off-diagonal.
+        self.weights = np.zeros((3, T))
+        self.weights[0] = 1.0
+        self.weights[1, 1:-1] = 1.0
+        self.off = self.weights[2, 1:]
+        self.left, self.diag = np.zeros(T), np.empty(T)
+        # [values, row differences] of [Sigma^-1 U, M^-1 U, M^-1 U K]: the
+        # values are three column-major T x k arrays, the differences those
+        # of their column-major ravel.
+        self.work = np.empty((2, 3, k, T))
+        self.SU, self.MU, self.MV = (P.T for P in self.work[0])
+        self.flat = self.work.reshape(2, -1)
+        self.pairs = (self.work[:, :2].reshape(2, 2, -1), self.work[:, 2].reshape(2, -1))
+        ends = slice(None, None, T - 1)  # the first and last rows
+        self.ends = (self.work[0, :2, :, ends], self.work[0, 2, :, ends])
+        self.dpttrs = _lapack().dpttrs
 
-def _exp_nugget_precision_derivatives(SU, factor: _Tridiagonal, K, lam1: float, lam2: float):
-    """:meth:`CovarianceModel.precision_derivatives` for ``exp_nugget``.
+    def solve(self, lam1: float, lam2: float) -> float:
+        """Factor M at ``(lam1, lam2)``, set SU and MU, return log det Sigma.
 
-    With A, M, u, phi, delta and nu of :func:`_exp_nugget_precision_solve`
-    (``Sigma = A^-1 M``; A, M, K and Sigma commute), L the path Laplacian
-    and ``D = diag(1, 2, ..., 2, 1)``:
+        Both forms of Sigma^-1 are exact; the second is used when
+        ``lam1 delta < nu``.  The first rounds A's smallest eigenvalue (about
+        delta / T, along the constant vector) to absolute precision, which
+        costs digits once ``lam2 >> T``; the second loses about
+        ``lam1 delta / nu`` instead.  The first gives ``M^-1 B`` as
+        ``(B - nu Sigma^-1 B) / (lam1 delta)``, which then loses at most a
+        factor ``1 + 4 nu / (lam1 delta) <= 5``.
+        """
+        u = -math.expm1(-1.0 / lam2)
+        phi = 1.0 - u
+        delta = -math.expm1(-2.0 / lam2)
+        nu = 1.0 - lam1
+        c = nu * phi
+        eps, b = nu * u * u + lam1 * delta, c * u
+        self.lam1, self.lam2, self.u, self.phi, self.delta = lam1, lam2, u, phi, delta
+        self.c, self.eps, self.b = c, eps, b
+        self._pivots()
+        pivots, off = self.pivots, self.off
+        np.divide(-c, pivots[:-1], out=off)
+        logdet = float(np.log(pivots).sum()) - math.log(delta)
+        B, SU, MU = self.B, self.SU, self.MU
+        if lam1 * delta < nu:
+            np.copyto(MU, B)
+            self.dpttrs(pivots, off, MU, overwrite_b=1)
+            np.multiply(MU, -lam1 * delta, out=SU)
+            SU += B
+            SU /= nu
+        else:  # SU = M^-1 (A B)
+            dB = self.work[1, 0].T[:-1]  # scratch: derivatives overwrite it
+            np.subtract(B[1:], B[:-1], out=dB)
+            dB *= phi
+            np.multiply(B, u * u, out=SU)
+            SU[:-1] -= dB
+            SU[1:] += dB
+            SU[[0, -1]] += (phi * u) * B[[0, -1]]
+            self.dpttrs(pivots, off, SU, overwrite_b=1)
+            np.multiply(SU, nu, out=MU)
+            np.subtract(B, MU, out=MU)
+            MU /= lam1 * delta
+        return logdet
 
-    - ``dSigma/dlam1 = K - I`` and ``delta I - A = phi (u D - L)``, so
-      ``Sigma^-1 (K - I) Sigma^-1 = phi Sigma^-1 (u D - L) M^-1`` and
-      ``tr(Sigma^-1 (K - I)) = (delta tr M^-1 - T) / nu``;
-    - ``dSigma/dphi = -lam1 K d(K^-1)/dphi K`` with
-      ``delta^2 d(K^-1)/dphi = J = (1 + phi^2) L - u^2 D``, so
-      ``Sigma^-1 (dSigma/dphi) Sigma^-1 = -lam1 M^-1 J M^-1``, and
-      ``d log det Sigma/dphi = tr(M^-1 dM/dphi) + 2 phi / delta`` with
-      ``dM/dphi = nu dA/dphi - 2 phi lam1 I``.
+    def _pivots(self) -> None:
+        """M's LDL' pivots into ``pivots`` and ``r_1..r_{T-1}`` into ``r``.
 
-    Forms in L are sums over differences of neighbouring rows, which lose
-    nothing to cancellation on slowly varying columns, and the traces of
-    M^-1 come from its bands (:func:`_tridiagonal_inverse_bands`).  The
-    right-hand columns ``V = U K`` need no second banded solve:
-    ``M^-1 V = (M^-1 U) K``, one matrix product.  The chain rule uses
-    ``dlam1/dlogit lam1 = lam1 nu`` and ``dphi/dlog lam2 = phi / lam2``.
-    """
-    u, phi, delta, nu = factor.u, factor.phi, factor.delta, 1.0 - lam1
-    MU = factor.MB
-    MV = np.matmul(MU, K, out=np.empty_like(MU))  # column-major, as MU
-    dMV = _row_diffs(MV)
-    dphi = phi / lam2
-    # The L forms summed by parts: P'L Q = sum of products of row differences.
-    forms = np.array([
-        lam1 * nu * phi * (u * _d_form(SU, MV) - _dot(_row_diffs(SU), dMV)),
-        -lam1 * dphi * ((1.0 + phi * phi) * _dot(_row_diffs(MU), dMV) - (u * u) * _d_form(MU, MV)),
-    ])
-    inv_diag, inv_off = _tridiagonal_inverse_bands(factor)
-    tr_inv = float(inv_diag.sum())
-    tr_dA = 2.0 * phi * float(inv_diag[1:-1].sum()) - 2.0 * float(inv_off.sum())
-    dlogdet = np.array([
-        lam1 * (delta * tr_inv - len(MU)),
-        dphi * (nu * tr_dA - 2.0 * phi * lam1 * tr_inv + 2.0 * phi / delta),
-    ])
-    return dlogdet, forms
+        The pivots are ``c + r_k`` with ``r_1 = eps + b`` and the
+        subtraction-free ``r_k = f(r_{k-1})``, ``f(r) = eps + c r / (c + r)``,
+        and the last is ``b + f(r_{T-1})``.  They keep full relative accuracy
+        when eps is far below c, where the rounded diagonal ``2c + eps`` has
+        lost eps.  f is a Moebius map with fixed points ``r+ = (eps + s) / 2``
+        and ``r- = -eps c / r+``, ``s = sqrt(eps^2 + 4 eps c)``, so
+        ``w_k = (r_k - r+) / (r_k - r-)`` is geometric with ratio
+        ``(c + r-) / (c + r+)`` and the recurrence has a closed form.
+        """
+        c, eps, b = self.c, self.eps, self.b
+        s = math.sqrt(eps * eps + 4.0 * eps * c)
+        r_plus = 0.5 * (eps + s)
+        r_minus = -eps * c / r_plus
+        r1 = eps + b
+        ratio = (c + r_minus) / (c + r_plus)
+        w, r = self.w, self.r
+        np.power(ratio, self.steps, out=w)
+        w *= (r1 - r_plus) / (r1 - r_minus)
+        np.multiply(w, s, out=r)
+        np.subtract(1.0, w, out=w)
+        r /= w
+        r += r_plus
+        np.add(c, r, out=self.pivots[:-1])
+        r_last = float(r[-1])
+        self.pivots[-1] = eps + b + c * r_last / (c + r_last)
+
+    def _inverse_traces(self) -> Tuple[float, float, float]:
+        """``tr M^-1``, the sum of its diagonal without the two ends, and the
+        sum of its first off-diagonal, in O(T) from the pivots and r.
+
+        Eliminating from both ends gives ``(M^-1)_kk = 1 / (eps + b_k + l_k + l'_k)``
+        with ``b_k = b`` at the two ends and 0 elsewhere, ``l_1 = 0``,
+        ``l_k = c r_{k-1} / (c + r_{k-1})`` what elimination from the top adds
+        to slot k, and ``l'`` the same from the bottom, which is l reversed (M is
+        persymmetric).  Every term is nonnegative, so nothing cancels.  Above the
+        diagonal, ``(M^-1)_{k,k+1} = c (M^-1)_{k+1,k+1} / p_k``.
+        """
+        T = len(self.diag)
+        # -l from off = -c / (c + r); left[0] stays 0.
+        left, diag = self.left, self.diag
+        np.multiply(self.r, self.off, out=left[1:])
+        np.subtract(self.eps, left, out=diag)
+        diag -= left[::-1]
+        diag[:: T - 1] += self.b
+        np.divide(1.0, diag, out=diag)
+        tr_inv, inner, off_sum = np.einsum("ji,i->j", self.weights, diag).tolist()
+        return tr_inv, inner, -off_sum
+
+    def derivatives(self, K: np.ndarray):
+        """``(dlogdet, forms)`` of :meth:`CovarianceModel.precision_derivatives`
+        at the point last solved, for the U whose solves SU and MU hold.
+
+        With A, M, u, phi, delta and nu as above (``Sigma = A^-1 M``; A, M,
+        K and Sigma commute) and ``D = diag(1, 2, ..., 2, 1)``:
+
+        - ``dSigma/dlam1 = K - I`` and ``delta I - A = phi (u D - L)``, so
+          ``Sigma^-1 (K - I) Sigma^-1 = phi Sigma^-1 (u D - L) M^-1`` and
+          ``tr(Sigma^-1 (K - I)) = (delta tr M^-1 - T) / nu``;
+        - ``dSigma/dphi = -lam1 K d(K^-1)/dphi K`` with
+          ``delta^2 d(K^-1)/dphi = J = (1 + phi^2) L - u^2 D``, so
+          ``Sigma^-1 (dSigma/dphi) Sigma^-1 = -lam1 M^-1 J M^-1``, and
+          ``d log det Sigma/dphi = tr(M^-1 dM/dphi) + 2 phi / delta`` with
+          ``dM/dphi = nu dA/dphi - 2 phi lam1 I``.
+
+        Forms in L are sums over differences of neighbouring rows, which lose
+        nothing to cancellation on slowly varying columns: one difference of
+        the stacked ravel of SU, MU and MV gives all three, and one
+        ``einsum`` all four sums of products.  The traces of M^-1 come from
+        its bands (:meth:`_inverse_traces`).  The right-hand columns ``U K`` need no second banded
+        solve: ``M^-1 U K = (M^-1 U) K``, one matrix product.  The chain
+        rule uses ``dlam1/dlogit lam1 = lam1 nu`` and
+        ``dphi/dlog lam2 = phi / lam2``.
+        """
+        lam1, lam2, u, phi, delta = self.lam1, self.lam2, self.u, self.phi, self.delta
+        nu = 1.0 - lam1
+        T = len(self.pivots)
+        np.matmul(self.MU, K, out=self.MV)
+        flat = self.flat
+        np.subtract(flat[0, 1:], flat[0, :-1], out=flat[1, :-1])
+        flat[1, T - 1 :: T] = 0.0  # where a column ends
+        # P'Q and P'L Q for P = SU, MU and Q = MV (L by parts), and the two
+        # end rows of P'D Q = 2 P'Q - (the end rows' part).
+        (su_mv, mu_mv), (dsu_dmv, dmu_dmv) = np.einsum("spi,si->sp", *self.pairs).tolist()
+        su_ends, mu_ends = np.einsum("pkt,kt->p", *self.ends).tolist()
+        dphi = phi / lam2
+        forms = (
+            lam1 * nu * phi * (u * (2.0 * su_mv - su_ends) - dsu_dmv),
+            -lam1 * dphi * ((1.0 + phi * phi) * dmu_dmv - (u * u) * (2.0 * mu_mv - mu_ends)),
+        )
+        tr_inv, tr_inner, off_sum = self._inverse_traces()
+        tr_dA = 2.0 * phi * tr_inner - 2.0 * off_sum
+        dlogdet = (
+            lam1 * (delta * tr_inv - T),
+            dphi * (nu * tr_dA - 2.0 * phi * lam1 * tr_inv + 2.0 * phi / delta),
+        )
+        return dlogdet, forms
 
 
 def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -616,20 +630,18 @@ def _pair_counts(model: CovarianceModel, design: DesignSchedule, perm):
     ``w_k = T W_k - n c_k``, W_k the ordered same-stimulus pairs and c_k all
     ordered pairs at lag k, and the trace is ``sum_k w_k rho_k / (n T)``.
     """
-    slots = design.stimulus_groups()
-    if perm is not None:
-        if perm.T != design.T:
-            raise ValueError("permutation size does not match design")
-        slots = perm.mapping[slots]
+    if perm is not None and perm.T != design.T:
+        raise ValueError("permutation size does not match design")
+    # The shuffled slots; the design keeps the identity's lag counts.
+    slots = None if perm is None else perm.mapping[design.stimulus_groups()]
     if model.family == "block":
         _check_block(design, *model.params)
+        if slots is None:
+            slots = design.stimulus_groups()
         blocks = design.block_index[slots] + design.n_blocks * np.arange(design.m)[:, None]
         return int(np.sum(np.bincount(blocks.ravel()) ** 2))
     T, n = design.T, design.n
-    W = np.zeros(T, dtype=np.int64)
-    W[0] = T
-    for j in range(1, n):
-        W += 2 * np.bincount(np.abs(slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
+    W = design.lag_counts if slots is None else lag_pair_counts(slots, T)
     c = 2 * np.arange(T, 0, -1)
     c[0] = T
     return T * W - n * c
@@ -643,12 +655,12 @@ def _lag_trace(model: CovarianceModel, counts: np.ndarray, n: int) -> float:
     and lam2 -> inf, where the plain sum cancels.
     """
     T = len(counts)
-    rho = model.autocorrelations(T)  # also checks the parameters
     w = counts / (n * T)
     if model.family == "exp_nugget":
+        model.autocorrelations(1)  # checks the parameters
         lam1, lam2 = model.params
         return w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
-    return float(w @ rho)
+    return float(w @ model.autocorrelations(T))
 
 
 def noise_level(

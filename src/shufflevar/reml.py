@@ -26,8 +26,19 @@ through the lag counts of :func:`~shufflevar.noise.noise_level`, so no
 T x T matrix is formed at any point.
 
 The fixed cost of an evaluation matters as much as its O(T m) work at the
-sizes fitted here: LAPACK routines are looked up once per fit, small work
-arrays are kept across evaluations, floating-point warnings are silenced
+sizes fitted here, so it makes few, large numpy and LAPACK calls.  For
+exp_nugget at T = 216, m = 36, one evaluation takes about 0.25 ms (2-vCPU
+box, OpenBLAS on one thread).  The banded solve (``dpttrs``, bound by the
+latency of its recurrence) is about 60 us of that.  Most of the rest is
+about ten passes over T x (m + 2) arrays: Sigma^-1 B from M^-1 B, the
+gather of X' Sigma^-1 B, the product ``(M^-1 U) K``, one row difference of
+the three stacked arrays the derivative forms read, and one ``einsum`` for
+their four sums of products.  The m x m work is a ``dpotrf``, two
+triangular solves and two products.  Every array an evaluation writes
+belongs to its :class:`_RemlProblem`, the design's indicator, repeat order
+and lag counts are built once per design, and a fit reports its winning
+start's own evaluation rather than profiling that point again.  LAPACK
+routines are looked up once per fit, floating-point warnings are silenced
 once per fit, and the optimizer's bookkeeping runs on Python floats.  Every
 long reduction runs in an order that no BLAS thread count changes.
 """
@@ -44,7 +55,7 @@ import numpy as np
 
 from .design import DesignSchedule, ms_between
 from .estimators import REML_FAMILIES, VarianceEstimate, _finish
-from .noise import CovarianceModel, NonStationary, noise_level
+from .noise import CovarianceModel, NonStationary, _ExpNuggetPrecision, _lapack, noise_level
 
 _BIG = 1e12
 _MAX_STEP = 10.0
@@ -80,41 +91,78 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+class _Profile(NamedTuple):
+    """The profiled likelihood at one point: all that a fit reports of it."""
+
+    gamma: float  # sigma2_A / sigma2_eps
+    theta: Tuple[float, ...]  # the model's correlation parameters
+    quad: float  # y'P y
+    logdet: float  # log det V
+    s_11: float  # 1'V^-1 1
+    dof: int  # T - 1
+
+    def objective(self) -> float:
+        """-2 * profiled restricted log-likelihood, up to an additive constant."""
+        return self.dof * math.log(self.quad) + self.logdet + math.log(self.s_11)
+
+    def report(self) -> Tuple[float, float, float]:
+        """``(sigma2_A, sigma2_eps, restricted log-likelihood)``."""
+        sigma2_eps = self.quad / self.dof
+        loglik = -0.5 * (
+            self.dof * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
+            + self.logdet
+            + math.log(self.s_11)
+        )
+        return self.gamma * sigma2_eps, sigma2_eps, loglik
+
+
 class _RemlProblem:
     """Caches design quantities and evaluates the profiled REML objective
     and its score.
 
     A point ``x`` is ``(log gamma, transformed correlation parameters)``
-    with ``gamma = sigma2_A / sigma2_eps``.
+    with ``gamma = sigma2_A / sigma2_eps``.  Every array an evaluation
+    writes is kept from one point to the next.
     """
 
     def __init__(self, y: np.ndarray, design: DesignSchedule, family: str, ar_order: int):
-        from scipy.linalg import lapack
-
-        self.dpotrf, self.dtrtrs, self.dpotrs = lapack.dpotrf, lapack.dtrtrs, lapack.dpotrs
+        lapack = _lapack()
+        self.dpotrf, self.dtrtrs = lapack.dpotrf, lapack.dtrtrs
         self.family = family
         self.ar_order = ar_order
-        self.T, self.m, self.n = design.T, design.m, design.n
+        T, m = design.T, design.m
+        self.T, self.m, self.n = T, m, design.n
         # B = [X, y, 1] with X the T x m stimulus indicator.
         # Column-major, as the banded solvers take it.
-        self.B = np.asfortranarray(
-            np.column_stack([np.eye(self.m)[design.stimulus_index], y, np.ones(self.T)])
-        )
-        # U = [X, Sigma u, Sigma a] = [X, B R] and K of the score, whose
-        # blocks are refilled at each point (see objective_and_score).
-        self.U = self.B.copy(order="F")
-        self.R = np.zeros((self.m + 2, 2))
-        self.R[self.m :] = np.eye(2)
-        self.K = np.zeros((self.m + 2, self.m + 2))
-        self.eye = np.eye(self.m)
+        self.B = np.empty((T, m + 2), order="F")
+        self.B[:, :m] = design.indicator
+        self.B[:, m] = y
+        self.B[:, m + 1] = 1.0
+        # exp_nugget solves into the arrays of one _ExpNuggetPrecision; ar
+        # forms U = [X, Sigma u, Sigma a] = [X, B R] (see evaluate).
+        self.precision = _ExpNuggetPrecision(self.B) if family == "exp_nugget" else None
+        if self.precision is not None:
+            self.solves = self.precision.work[0, :2].transpose(0, 2, 1)  # SU, MU
+        self.U = self.B.copy(order="F") if family == "ar" else None
+        # R and K of the score, whose blocks are refilled at each point.
+        self.R = np.zeros((m + 2, 2))
+        self.R[m:] = np.eye(2)
+        self.K = np.zeros((m + 2, m + 2))
+        self.H = np.empty((m, m), order="F")
+        self.H_diag = self.H.T.reshape(-1)[:: m + 1]  # a view
+        self.eye = np.eye(m, order="F")
         # Slots by repeat, then stimulus: X'Z is a sum of n blocks of m rows.
-        self.order = design.stimulus_groups().T.ravel()
+        self.order = design.repeat_order
+
+    def params(self, theta: Sequence[float]) -> Tuple[float, ...]:
+        """The model's correlation parameters at transformed ``theta``."""
+        if self.family == "exp_nugget":
+            return (_sigmoid(theta[0]), math.exp(theta[1]))
+        return tuple(float(v) for v in theta)
 
     def model(self, theta: Sequence[float]) -> CovarianceModel:
         """Noise correlation at transformed parameters ``theta``."""
-        if self.family == "exp_nugget":
-            return CovarianceModel.exp_nugget(_sigmoid(theta[0]), math.exp(theta[1]))
-        return CovarianceModel(self.family, tuple(float(v) for v in theta))
+        return CovarianceModel(self.family, self.params(theta))
 
     def profile(self, x: Sequence[float]):
         """Profile out sigma2_eps at V = Sigma(theta) + gamma XX'.
@@ -126,46 +174,54 @@ class _RemlProblem:
         ``log det V = log det Sigma + log det H`` with the m x m
         ``H = I + gamma C``.
 
-        Returns ``(gamma, model, quad, logdet, s_11)`` and the intermediates
-        the score reuses, or None where the objective is infinite
-        (parameters out of floating-point range, non-stationary AR, a factor
-        not positive definite, or a non-positive residual quadratic form).
+        Returns the :class:`_Profile` and the intermediates the score
+        reuses, or None where the objective is infinite (parameters out of
+        floating-point range, non-stationary AR, a factor not positive
+        definite, or a non-positive residual quadratic form).
         """
         try:
             gamma = math.exp(min(x[0], 40.0))
-            model = self.model(x[1:])
-            Z, logdet_sigma, factor = model.precision_solve(self.B)
+            theta = self.params(x[1:])
+            if self.precision is not None:
+                logdet_sigma = self.precision.solve(*theta)
+                Z = self.precision.SU
+            else:
+                Z, logdet_sigma, _ = CovarianceModel(self.family, theta).precision_solve(self.B)
         except (ArithmeticError, NonStationary, np.linalg.LinAlgError):
             return None
         m = self.m
         XtZ = Z[self.order].reshape(self.n, m, m + 2).sum(axis=0)
-        H = gamma * XtZ[:, :m]
-        H.flat[:: m + 1] += 1.0
-        L, info = self.dpotrf(H, lower=1)
+        np.multiply(XtZ[:, :m], gamma, out=self.H)
+        self.H_diag += 1.0
+        L, info = self.dpotrf(self.H, lower=1, overwrite_a=1)
         if info != 0:
             return None
         W, _ = self.dtrtrs(L, XtZ[:, m:], lower=1)
-        s = self.B[:, m:].T @ Z[:, m:] - gamma * (W.T @ W)
+        (s_yy, s_y1), (_, s_11) = (self.B[:, m:].T @ Z[:, m:] - gamma * (W.T @ W)).tolist()
         logdet = logdet_sigma + 2.0 * float(np.log(L.diagonal()).sum())
-        s_yy, s_y1, s_11 = float(s[0, 0]), float(s[0, 1]), float(s[1, 1])
         if s_11 <= 0:
             return None
         quad = s_yy - s_y1**2 / s_11
         if not (math.isfinite(quad) and math.isfinite(logdet)) or quad <= 0:
             return None
-        return gamma, model, quad, logdet, s_11, (Z, factor, XtZ, L, W, s_y1 / s_11)
+        point = _Profile(gamma, theta, quad, logdet, s_11, self.T - 1)
+        return point, (XtZ, L, W, s_y1 / s_11)
 
     def objective(self, x: Sequence[float]) -> float:
         """-2 * profiled restricted log-likelihood, up to an additive constant."""
         parts = self.profile(x)
-        if parts is None:
-            return _BIG
-        _, _, quad, logdet, s_11, _ = parts
-        return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
+        return _BIG if parts is None else parts[0].objective()
 
     def objective_and_score(self, x: Sequence[float]):
         """``(objective, its gradient in x)`` from one profile; ``(_BIG, None)``
-        where the objective or the score is not finite.
+        where the objective or the score is not finite (see :meth:`evaluate`)."""
+        f, score, _ = self.evaluate(x)
+        return f, None if score is None else np.array(score)
+
+    def evaluate(self, x: Sequence[float]):
+        """``(objective, score, profile)`` at x, the score a list, from one
+        profile; ``(_BIG, None, None)`` where the objective or the score is
+        not finite.
 
         With P the REML projection, ``u = P y`` and ``a = V^-1 1``, the
         derivative in x_j is ``tr(P dV_j) - (T - 1) u' dV_j u / y'P y`` with
@@ -178,49 +234,54 @@ class _RemlProblem:
         - for a correlation parameter, ``tr(V^-1 dSigma) = d log det Sigma -
           gamma tr(H^-1 X'N X)`` and ``w' dSigma w = (Sigma w)' N (Sigma w)``
           for ``w = a, u``, where ``N = Sigma^-1 dSigma Sigma^-1`` and the
-          three forms come from one :meth:`CovarianceModel.precision_derivatives`
-          over the columns of ``U = [X, Sigma u, Sigma a]`` and ``U K`` for
-          the block-diagonal ``K = diag(gamma H^-1, (T - 1) / quad, 1 / s_11)``.
+          three forms come from one call of the derivatives (exp_nugget's
+          :meth:`~shufflevar.noise._ExpNuggetPrecision.derivatives`, else
+          :meth:`CovarianceModel.precision_derivatives`) over the columns of
+          ``U = [X, Sigma u, Sigma a]`` and ``U K`` for the block-diagonal
+          ``K = diag(gamma H^-1, (T - 1) / quad, 1 / s_11)``.
 
         Floating-point warnings are not silenced here; :func:`reml_estimate`
         silences them once per fit.
         """
         parts = self.profile(x)
         if parts is None:
-            return _BIG, None
-        gamma, model, quad, logdet, s_11, (Z, factor, XtZ, L, W, beta) = parts
-        T, m = self.T, self.m
-        f = (T - 1) * math.log(quad) + logdet + math.log(s_11)
-        G, _ = self.dtrtrs(L, W, lower=1, trans=1)  # H^-1 D
-        G[:, 0] -= beta * G[:, 1]
-        u_X, a_X = G.T  # X'u, X'a
+            return _BIG, None, None
+        point, (XtZ, L, W, beta) = parts
+        T, m, gamma = self.T, self.m, point.gamma
+        f = point.objective()
         # Not dpotri: its rounding depends on the BLAS thread count, which
-        # flat fits amplify.  dpotrs on the identity rounds alike at any count.
-        H_inv, _ = self.dpotrs(L, self.eye, lower=1)
-        score = np.empty(len(x))
-        score[0] = gamma * (
-            float((H_inv * XtZ[:, :m]).sum())
-            - float(a_X @ a_X) / s_11
-            - (T - 1) * float(u_X @ u_X) / quad
-        ) if x[0] < 40.0 else 0.0
+        # flat fits amplify.  A triangular solve and products whose inner
+        # dimension is m round alike at any count.
+        L_inv, _ = self.dtrtrs(L, self.eye, lower=1)
+        H_inv, G = L_inv.T @ L_inv, L_inv.T @ W  # H^-1 and H^-1 D
+        G[:, 0] -= beta * G[:, 1]
+        uu, aa = np.einsum("ij,ij->j", G, G).tolist()  # |X'u|^2, |X'a|^2
+        tr = float(np.einsum("ij,ij->", H_inv, XtZ[:, :m]))  # tr(H^-1 C)
+        score = [
+            gamma * (tr - aa / point.s_11 - (T - 1) * uu / point.quad) if x[0] < 40.0 else 0.0
+        ]
         if len(x) > 1:
             # Sigma u = y - beta 1 - gamma X X'u and Sigma a = 1 - gamma X X'a
             # are B R for an (m + 2) x 2 R, so U = [X, B R], and the same
             # product turns the solves of B into those of U.
-            U, R, K = self.U, self.R, self.K
+            R, K = self.R, self.K
             np.multiply(G, -gamma, out=R[:m])
             R[m + 1, 0] = -beta
-            U[:, m:] = self.B @ R
-            for S in (Z, factor.MB) if factor is not None else (Z,):
-                S[:, m:] = S @ R
             np.multiply(H_inv, gamma, out=K[:m, :m])
-            K[m, m] = (T - 1) / quad
-            K[m + 1, m + 1] = 1.0 / s_11
-            dlogdet, forms = model.precision_derivatives(U, Z, factor, K)
-            score[1:] = dlogdet - forms
-        if not (math.isfinite(f) and np.isfinite(score).all()):
-            return _BIG, None
-        return f, score
+            K[m, m] = (T - 1) / point.quad
+            K[m + 1, m + 1] = 1.0 / point.s_11
+            if self.precision is not None:
+                solves = self.solves
+                solves[:, :, m:] = solves @ R
+                dlogdet, forms = self.precision.derivatives(K)
+            else:
+                self.U[:, m:] = self.B @ R
+                model = CovarianceModel(self.family, point.theta)
+                dlogdet, forms = model.precision_derivatives(self.U, None, K)
+            score += [float(d - g) for d, g in zip(dlogdet, forms)]
+        if not (math.isfinite(f) and all(map(math.isfinite, score))):
+            return _BIG, None, None
+        return f, score, point
 
 
 class _Start(NamedTuple):
@@ -230,30 +291,32 @@ class _Start(NamedTuple):
     fun: float
     success: bool
     nfev: int
+    info: object  # what ``fun`` returned beyond f and the gradient at x
 
 
 def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
     """Minimize ``fun`` from ``x0`` by L-BFGS (Liu & Nocedal 1989).
 
-    ``fun(x)`` returns ``(f, gradient)``, with ``f >= _BIG`` outside the
-    domain.  Each step backtracks from the quasi-Newton step (the first
-    from a unit step along the negative gradient), at most ``_MAX_STEP``
-    long in every coordinate, until f falls by the Armijo fraction of the
-    predicted decrease.  A start converges when the gradient's largest
-    component is at most ``tol``, or where f is flat to rounding: when the
-    step predicts a decrease below ``_FLAT * max(1, |f|)``, or when no
-    step longer than ``tol`` in its largest coordinate lowers f.  It stops
-    unconverged after ``max_evals`` calls of ``fun``.
+    ``fun(x)`` returns ``(f, gradient, info)``, the gradient a list, with
+    ``f >= _BIG`` outside the domain; the start keeps the info of the point
+    it stopped at.  Each step backtracks from the quasi-Newton step (the
+    first from a unit step along the negative gradient), at most
+    ``_MAX_STEP`` long in every coordinate, until f falls by the Armijo
+    fraction of the predicted decrease.  A start converges when the
+    gradient's largest component is at most ``tol``, or where f is flat to
+    rounding: when the step predicts a decrease below
+    ``_FLAT * max(1, |f|)``, or when no step longer than ``tol`` in its
+    largest coordinate lowers f.  It stops unconverged after ``max_evals``
+    calls of ``fun``.
 
     The vectors have a handful of entries, so the bookkeeping runs on
     Python floats, where numpy's per-call overhead would dominate.
     """
     x = [float(v) for v in x0]
-    f, g = fun(x)
+    f, g, info = fun(x)
     nfev = 1
     if f >= _BIG:
-        return _Start(np.array(x), f, False, nfev)
-    g = g.tolist()
+        return _Start(np.array(x), f, False, nfev, info)
     pairs = []
     while max(map(abs, g)) > tol:
         # Two-loop recursion; inner products are correctly rounded (fsum),
@@ -281,28 +344,27 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
             d = [-v / longest for v in g]
             slope = fsum(map(mul, g, d))
         if -slope <= _FLAT * max(1.0, abs(f)):
-            return _Start(np.array(x), f, True, nfev)
+            return _Start(np.array(x), f, True, nfev, info)
         longest = max(map(abs, d))
         t = min(1.0, _MAX_STEP / longest)
         while True:
             if nfev >= max_evals:
-                return _Start(np.array(x), f, False, nfev)
-            f_new, g_new = fun([p + t * q for p, q in zip(x, d)])
+                return _Start(np.array(x), f, False, nfev, info)
+            f_new, g_new, info_new = fun([p + t * q for p, q in zip(x, d)])
             nfev += 1
             if f_new < f and f_new <= f + 1e-4 * t * slope:
                 break
             if t * longest <= tol:
-                return _Start(np.array(x), f, True, nfev)
+                return _Start(np.array(x), f, True, nfev, info)
             # Minimum of the quadratic through f, slope and f_new, kept in [t/10, t/2].
             t = min(max(-slope * t * t / (2.0 * (f_new - f - slope * t)), 0.1 * t), 0.5 * t)
-        g_new = g_new.tolist()
         s = [t * v for v in d]
         y = [a - b for a, b in zip(g_new, g)]
         sy = fsum(map(mul, s, y))
         if sy > 0:
             pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
-        x, f, g = [a + b for a, b in zip(x, s)], f_new, g_new
-    return _Start(np.array(x), f, True, nfev)
+        x, f, g, info = [a + b for a, b in zip(x, s)], f_new, g_new, info_new
+    return _Start(np.array(x), f, True, nfev, info)
 
 
 def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
@@ -383,27 +445,20 @@ def reml_estimate(
 
     # Points far out overflow and are scored as outside the domain.
     with np.errstate(all="ignore"):
-        results = [_lbfgs(problem.objective_and_score, x0, max_evals, xatol) for x0 in starts]
-        finite = [r for r in results if r.fun < _BIG]
-        if not finite:
-            raise AllStartsFailed("no start produced a finite restricted likelihood")
-        best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
-        if not best.success:
-            near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
-            best = min(near, key=lambda r: r.fun, default=best)
-        # The winning vertex had a finite objective, so it profiles.
-        gamma, model, quad, logdet, s_11, _ = problem.profile(best.x)
-    sigma2_eps = quad / (problem.T - 1)
-    sigma2_A = gamma * sigma2_eps
-    loglik = -0.5 * (
-        (problem.T - 1) * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
-        + logdet
-        + math.log(s_11)
-    )
+        results = [_lbfgs(problem.evaluate, x0, max_evals, xatol) for x0 in starts]
+    finite = [r for r in results if r.fun < _BIG]
+    if not finite:
+        raise AllStartsFailed("no start produced a finite restricted likelihood")
+    best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
+    if not best.success:
+        near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
+        best = min(near, key=lambda r: r.fun, default=best)
+    # The winning start's own evaluation at its point, as a fresh profile gives it.
+    sigma2_A, sigma2_eps, loglik = best.info.report()
     fit = RemlFit(
         sigma2_A=sigma2_A,
         sigma2_eps=sigma2_eps,
-        theta=model.params,
+        theta=best.info.theta,
         family=family,
         log_restricted_likelihood=loglik,
         converged=bool(best.success),
@@ -416,5 +471,5 @@ def reml_estimate(
         f"reml:{family}", sigma2_A, total, extra_flags=flags
     )
     # Report the model-based noise level instead of the residual total - raw.
-    level = noise_level(model, design, sigma2_eps)
+    level = noise_level(CovarianceModel(family, fit.theta), design, sigma2_eps)
     return fit, replace(estimate, noise_level=level)

@@ -120,6 +120,45 @@ class TestEstimate:
         assert "error: unknown estimator 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_estimator_list_exits_1(self, dataset, tmp_path, capsys):
+        # "," used to write a header-only file and exit 0
+        path, _, _ = dataset
+        out = tmp_path / "est.csv"
+        rc = main(["estimate", "-i", str(path), "--estimators", ",", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --estimators names no estimator\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, reason",
+        [
+            ("0 1 2 3 4 5", ":1: index 0 is outside 1..6 (indices are 1-based)"),
+            ("1 2 3 4 5 7", ":6: index 7 is outside 1..6 (indices are 1-based)"),
+            ("1 2 2 4 5 6", ":3: index 2 repeats line 2; each of 1..6 must appear once"),
+            ("1 2 1.5 4 5 6", ":3: '1.5' is not an integer index"),
+        ],
+    )
+    def test_bad_permutation_file_names_spec_path_and_line(
+        self, dataset, tmp_path, capsys, entries, reason
+    ):
+        path, _, _ = dataset
+        perm = tmp_path / "perm.txt"
+        perm.write_text("\n".join(entries.split()) + "\n")
+        rc = main(["estimate", "-i", str(path), "--permutation", f"file:{perm}",
+                   "-o", str(tmp_path / "est.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: permutation 'file:{perm}': {perm}{reason}\n"
+
+    @pytest.mark.parametrize("spec, shift", [("shift:", "''"), ("shift:x", "'x'")])
+    def test_bad_shift_names_the_spec(self, dataset, tmp_path, capsys, spec, shift):
+        path, _, _ = dataset
+        rc = main(["estimate", "-i", str(path), "--permutation", spec,
+                   "-o", str(tmp_path / "est.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: permutation {spec!r}: shift {shift} is not an integer\n"
+        )
+
 
 class TestAlpha:
     def test_schedule_report(self, tmp_path):
