@@ -87,24 +87,6 @@ class DesignSchedule:
         """m x n array whose row i holds stimulus i's slots in time order."""
         return np.argsort(self.stimulus_index, kind="stable").reshape(self.m, self.n)
 
-    # Read-only and built once per design: REML fits and noise levels reuse them.
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """Column-major T x m stimulus indicator X: ``X[t, i] = 1`` iff slot t
-        shows stimulus i."""
-        return _read_only(np.asfortranarray(np.eye(self.m)[self.stimulus_index]))
-
-    @cached_property
-    def repeat_order(self) -> np.ndarray:
-        """The slots by repeat, then stimulus: the first showing of each
-        stimulus, then the second, and so on (length T)."""
-        return _read_only(self.stimulus_groups().T.ravel())
-
-    @cached_property
-    def lag_counts(self) -> np.ndarray:
-        """Ordered pairs of same-stimulus slots at each lag 0..T-1 (int64)."""
-        return _read_only(lag_pair_counts(self.stimulus_groups(), self.T))
-
     def block_groups(self) -> list:
         """Index arrays of the slots assigned to each block."""
         idx = self.block_index
@@ -122,21 +104,6 @@ class DesignSchedule:
     def global_matrix(self) -> np.ndarray:
         """Dense T x T global-averaging matrix (all entries 1/T)."""
         return np.full((self.T, self.T), 1.0 / self.T)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def lag_pair_counts(groups: np.ndarray, T: int) -> np.ndarray:
-    """Ordered pairs of slots in the same row of the m x n ``groups``,
-    counted by lag ``|t - u|`` in 0..T-1 (int64)."""
-    W = np.zeros(T, dtype=np.int64)
-    W[0] = groups.size
-    for j in range(1, groups.shape[1]):
-        W += 2 * np.bincount(np.abs(groups[:, j:] - groups[:, :-j]).ravel(), minlength=T)
-    return W
 
 
 def build_design(

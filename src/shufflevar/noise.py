@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignSchedule, MissingBlocks, lag_pair_counts
+from .design import DesignSchedule, MissingBlocks
 
 
 class NonStationary(ValueError):
@@ -123,8 +123,8 @@ class CovarianceModel:
 
     Use the class methods to construct instances; :meth:`materialize`
     produces the dense matrix for a given design, and the stationary families
-    give :meth:`autocorrelations`, :meth:`precision_solve` and :meth:`color`
-    without one.
+    give :meth:`autocorrelations` and :meth:`color` without one, as ``iid``
+    and ``ar`` give :meth:`precision_solve`.
     """
 
     family: str
@@ -173,31 +173,23 @@ class CovarianceModel:
         rho[0] = 1.0
         return rho
 
-    def precision_solve(
-        self, B: np.ndarray
-    ) -> Tuple[np.ndarray, float, Optional[_ExpNuggetPrecision]]:
-        """``(Sigma^-1 B, log det Sigma, factor)`` for a T x k ``B``, in O(T k).
+    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float]:
+        """``(Sigma^-1 B, log det Sigma)`` for a T x k ``B``, in O(T k).
 
-        Sigma is never formed: ``iid`` returns ``(B, 0, None)``, and
-        ``exp_nugget`` and ``ar`` have banded precision matrices (see
-        :class:`_ExpNuggetPrecision` and :func:`_ar_precision_solve`).
-        ``factor`` is ``exp_nugget``'s :class:`_ExpNuggetPrecision`, which
-        holds the tridiagonal M factored in the solve and ``factor.MU =
-        M^-1 B`` for :meth:`precision_derivatives`; it is None for the other
-        families.
+        Sigma is never formed: ``iid`` returns ``(B, 0)``, and ``ar`` has a
+        banded precision matrix (see :func:`_ar_precision_solve`).
+        ``exp_nugget``'s structured solve is :class:`_ExpNuggetPrecision`,
+        which keeps its factor and work arrays from one point to the next.
 
         Raises :class:`NonStationary` for non-stationary AR coefficients,
         ``np.linalg.LinAlgError`` where a factor is not positive definite,
-        and ``ValueError`` for ``block``, whose covariance needs the design.
+        and ``ValueError`` for the other families.
         """
         B = np.asarray(B, dtype=float)
         if self.family == "iid":
-            return B, 0.0, None
-        if self.family == "exp_nugget":
-            factor = _ExpNuggetPrecision(np.asfortranarray(B))
-            return factor.SU, factor.solve(*self.params), factor
+            return B, 0.0
         if self.family == "ar":
-            return _ar_precision_solve(B, self.params) + (None,)
+            return _ar_precision_solve(B, self.params)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
 
     def color(self, X: np.ndarray) -> None:
@@ -224,24 +216,18 @@ class CovarianceModel:
         elif self.family == "ar":
             _ar_color(X, self.params)
 
-    def precision_derivatives(
-        self, U: np.ndarray, factor: Optional[_ExpNuggetPrecision], K: np.ndarray
-    ) -> Tuple[Sequence[float], Sequence[float]]:
+    def precision_derivatives(self, U: np.ndarray, K: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Derivatives in the free parameters p, in O(T k^2) for a T x k U.
 
-        The free parameters are ``(logit lam1, log lam2)`` for
-        ``exp_nugget``, the coefficients for ``ar`` and none for ``iid``.
-        ``exp_nugget`` reads U through the ``factor`` of
-        :meth:`precision_solve` of U (or one whose ``SU`` and ``MU`` the
-        caller has set to ``Sigma^-1 U`` and ``M^-1 U``).  Returns
+        The free parameters are the coefficients for ``ar`` and none for
+        ``iid`` (``exp_nugget``'s are in
+        :meth:`_ExpNuggetPrecision.derivatives`).  Returns
         ``dlogdet[j] = d log det Sigma / dp_j`` and
         ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 W_i``, summed
         over the columns of ``W = U K`` for a k x k ``K``.
         """
         if self.family == "iid":
             return np.zeros(0), np.zeros(0)
-        if self.family == "exp_nugget":
-            return factor.derivatives(K)
         if self.family == "ar":
             return _ar_precision_derivatives(U, U @ K, self.params)
         raise ValueError(f"no structured precision for covariance family {self.family!r}")
@@ -330,7 +316,7 @@ class _ExpNuggetPrecision:
         B, SU, MU = self.B, self.SU, self.MU
         if lam1 * delta < nu:
             np.copyto(MU, B)
-            self.dpttrs(pivots, off, MU, overwrite_b=1)
+            self._solve_in_place(MU)
             np.multiply(MU, -lam1 * delta, out=SU)
             SU += B
             SU /= nu
@@ -342,11 +328,17 @@ class _ExpNuggetPrecision:
             SU[:-1] -= dB
             SU[1:] += dB
             SU[[0, -1]] += (phi * u) * B[[0, -1]]
-            self.dpttrs(pivots, off, SU, overwrite_b=1)
+            self._solve_in_place(SU)
             np.multiply(SU, nu, out=MU)
             np.subtract(B, MU, out=MU)
             MU /= lam1 * delta
         return logdet
+
+    def _solve_in_place(self, P: np.ndarray) -> None:
+        """``P <- M^-1 P`` with M as last factored, for one of SU and MU."""
+        X, _ = self.dpttrs(self.pivots, self.off, P, overwrite_b=1)
+        if X is not P:  # f2py solved into a copy; the other arrays view P
+            P[...] = X
 
     def _pivots(self) -> None:
         """M's LDL' pivots into ``pivots`` and ``r_1..r_{T-1}`` into ``r``.
@@ -630,18 +622,20 @@ def _pair_counts(model: CovarianceModel, design: DesignSchedule, perm):
     ``w_k = T W_k - n c_k``, W_k the ordered same-stimulus pairs and c_k all
     ordered pairs at lag k, and the trace is ``sum_k w_k rho_k / (n T)``.
     """
-    if perm is not None and perm.T != design.T:
-        raise ValueError("permutation size does not match design")
-    # The shuffled slots; the design keeps the identity's lag counts.
-    slots = None if perm is None else perm.mapping[design.stimulus_groups()]
+    slots = design.stimulus_groups()
+    if perm is not None:
+        if perm.T != design.T:
+            raise ValueError("permutation size does not match design")
+        slots = perm.mapping[slots]
     if model.family == "block":
         _check_block(design, *model.params)
-        if slots is None:
-            slots = design.stimulus_groups()
         blocks = design.block_index[slots] + design.n_blocks * np.arange(design.m)[:, None]
         return int(np.sum(np.bincount(blocks.ravel()) ** 2))
     T, n = design.T, design.n
-    W = design.lag_counts if slots is None else lag_pair_counts(slots, T)
+    W = np.zeros(T, dtype=np.int64)
+    W[0] = T
+    for j in range(1, n):
+        W += 2 * np.bincount(np.abs(slots[:, j:] - slots[:, :-j]).ravel(), minlength=T)
     c = 2 * np.arange(T, 0, -1)
     c[0] = T
     return T * W - n * c
@@ -655,12 +649,12 @@ def _lag_trace(model: CovarianceModel, counts: np.ndarray, n: int) -> float:
     and lam2 -> inf, where the plain sum cancels.
     """
     T = len(counts)
+    rho = model.autocorrelations(T)  # also checks the parameters
     w = counts / (n * T)
     if model.family == "exp_nugget":
-        model.autocorrelations(1)  # checks the parameters
         lam1, lam2 = model.params
         return w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
-    return float(w @ model.autocorrelations(T))
+    return float(w @ rho)
 
 
 def noise_level(

@@ -13,9 +13,11 @@ parameters:
 
 Each evaluation of the objective and its score costs one banded solve of
 the m + 2 columns ``[X, y, 1]`` and m x m factorizations: the noise
-precision is banded (:meth:`CovarianceModel.precision_solve`), its
+precision is banded (:class:`~shufflevar.noise._ExpNuggetPrecision` for
+exp_nugget, :meth:`CovarianceModel.precision_solve` for ar), its
 derivatives reuse that solve's factor
-(:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has rank m, so
+(:meth:`~shufflevar.noise._ExpNuggetPrecision.derivatives`,
+:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has rank m, so
 the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
 problem (the low-rank trick of FaST-LMM).  The score's right-hand columns
 ``X gamma H^-1`` need no second solve of m columns: their solve is the
@@ -35,12 +37,10 @@ gather of X' Sigma^-1 B, the product ``(M^-1 U) K``, one row difference of
 the three stacked arrays the derivative forms read, and one ``einsum`` for
 their four sums of products.  The m x m work is a ``dpotrf``, two
 triangular solves and two products.  Every array an evaluation writes
-belongs to its :class:`_RemlProblem`, the design's indicator, repeat order
-and lag counts are built once per design, and a fit reports its winning
-start's own evaluation rather than profiling that point again.  LAPACK
-routines are looked up once per fit, floating-point warnings are silenced
-once per fit, and the optimizer's bookkeeping runs on Python floats.  Every
-long reduction runs in an order that no BLAS thread count changes.
+belongs to its :class:`_RemlProblem`.  LAPACK routines are looked up once
+per fit, floating-point warnings are silenced once per fit, and the
+optimizer's bookkeeping runs on Python floats.  Every long reduction runs in
+an order that no BLAS thread count changes.
 """
 
 from __future__ import annotations
@@ -91,31 +91,6 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-class _Profile(NamedTuple):
-    """The profiled likelihood at one point: all that a fit reports of it."""
-
-    gamma: float  # sigma2_A / sigma2_eps
-    theta: Tuple[float, ...]  # the model's correlation parameters
-    quad: float  # y'P y
-    logdet: float  # log det V
-    s_11: float  # 1'V^-1 1
-    dof: int  # T - 1
-
-    def objective(self) -> float:
-        """-2 * profiled restricted log-likelihood, up to an additive constant."""
-        return self.dof * math.log(self.quad) + self.logdet + math.log(self.s_11)
-
-    def report(self) -> Tuple[float, float, float]:
-        """``(sigma2_A, sigma2_eps, restricted log-likelihood)``."""
-        sigma2_eps = self.quad / self.dof
-        loglik = -0.5 * (
-            self.dof * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
-            + self.logdet
-            + math.log(self.s_11)
-        )
-        return self.gamma * sigma2_eps, sigma2_eps, loglik
-
-
 class _RemlProblem:
     """Caches design quantities and evaluates the profiled REML objective
     and its score.
@@ -134,12 +109,11 @@ class _RemlProblem:
         self.T, self.m, self.n = T, m, design.n
         # B = [X, y, 1] with X the T x m stimulus indicator.
         # Column-major, as the banded solvers take it.
-        self.B = np.empty((T, m + 2), order="F")
-        self.B[:, :m] = design.indicator
-        self.B[:, m] = y
-        self.B[:, m + 1] = 1.0
+        self.B = np.asfortranarray(
+            np.column_stack([np.eye(m)[design.stimulus_index], y, np.ones(T)])
+        )
         # exp_nugget solves into the arrays of one _ExpNuggetPrecision; ar
-        # forms U = [X, Sigma u, Sigma a] = [X, B R] (see evaluate).
+        # forms U = [X, Sigma u, Sigma a] = [X, B R] (see objective_and_score).
         self.precision = _ExpNuggetPrecision(self.B) if family == "exp_nugget" else None
         if self.precision is not None:
             self.solves = self.precision.work[0, :2].transpose(0, 2, 1)  # SU, MU
@@ -152,7 +126,7 @@ class _RemlProblem:
         self.H_diag = self.H.T.reshape(-1)[:: m + 1]  # a view
         self.eye = np.eye(m, order="F")
         # Slots by repeat, then stimulus: X'Z is a sum of n blocks of m rows.
-        self.order = design.repeat_order
+        self.order = design.stimulus_groups().T.ravel()
 
     def params(self, theta: Sequence[float]) -> Tuple[float, ...]:
         """The model's correlation parameters at transformed ``theta``."""
@@ -174,8 +148,9 @@ class _RemlProblem:
         ``log det V = log det Sigma + log det H`` with the m x m
         ``H = I + gamma C``.
 
-        Returns the :class:`_Profile` and the intermediates the score
-        reuses, or None where the objective is infinite (parameters out of
+        Returns ``(gamma, theta, quad, logdet, s_11)``, theta the model's
+        correlation parameters, and the intermediates the score reuses, or
+        None where the objective is infinite (parameters out of
         floating-point range, non-stationary AR, a factor not positive
         definite, or a non-positive residual quadratic form).
         """
@@ -186,7 +161,7 @@ class _RemlProblem:
                 logdet_sigma = self.precision.solve(*theta)
                 Z = self.precision.SU
             else:
-                Z, logdet_sigma, _ = CovarianceModel(self.family, theta).precision_solve(self.B)
+                Z, logdet_sigma = CovarianceModel(self.family, theta).precision_solve(self.B)
         except (ArithmeticError, NonStationary, np.linalg.LinAlgError):
             return None
         m = self.m
@@ -204,24 +179,19 @@ class _RemlProblem:
         quad = s_yy - s_y1**2 / s_11
         if not (math.isfinite(quad) and math.isfinite(logdet)) or quad <= 0:
             return None
-        point = _Profile(gamma, theta, quad, logdet, s_11, self.T - 1)
-        return point, (XtZ, L, W, s_y1 / s_11)
+        return gamma, theta, quad, logdet, s_11, (XtZ, L, W, s_y1 / s_11)
 
     def objective(self, x: Sequence[float]) -> float:
         """-2 * profiled restricted log-likelihood, up to an additive constant."""
         parts = self.profile(x)
-        return _BIG if parts is None else parts[0].objective()
+        if parts is None:
+            return _BIG
+        _, _, quad, logdet, s_11, _ = parts
+        return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
 
     def objective_and_score(self, x: Sequence[float]):
-        """``(objective, its gradient in x)`` from one profile; ``(_BIG, None)``
-        where the objective or the score is not finite (see :meth:`evaluate`)."""
-        f, score, _ = self.evaluate(x)
-        return f, None if score is None else np.array(score)
-
-    def evaluate(self, x: Sequence[float]):
-        """``(objective, score, profile)`` at x, the score a list, from one
-        profile; ``(_BIG, None, None)`` where the objective or the score is
-        not finite.
+        """``(objective, its gradient in x as a list)`` from one profile;
+        ``(_BIG, None)`` where the objective or the score is not finite.
 
         With P the REML projection, ``u = P y`` and ``a = V^-1 1``, the
         derivative in x_j is ``tr(P dV_j) - (T - 1) u' dV_j u / y'P y`` with
@@ -245,10 +215,10 @@ class _RemlProblem:
         """
         parts = self.profile(x)
         if parts is None:
-            return _BIG, None, None
-        point, (XtZ, L, W, beta) = parts
-        T, m, gamma = self.T, self.m, point.gamma
-        f = point.objective()
+            return _BIG, None
+        gamma, theta, quad, logdet, s_11, (XtZ, L, W, beta) = parts
+        T, m = self.T, self.m
+        f = (T - 1) * math.log(quad) + logdet + math.log(s_11)
         # Not dpotri: its rounding depends on the BLAS thread count, which
         # flat fits amplify.  A triangular solve and products whose inner
         # dimension is m round alike at any count.
@@ -258,7 +228,7 @@ class _RemlProblem:
         uu, aa = np.einsum("ij,ij->j", G, G).tolist()  # |X'u|^2, |X'a|^2
         tr = float(np.einsum("ij,ij->", H_inv, XtZ[:, :m]))  # tr(H^-1 C)
         score = [
-            gamma * (tr - aa / point.s_11 - (T - 1) * uu / point.quad) if x[0] < 40.0 else 0.0
+            gamma * (tr - aa / s_11 - (T - 1) * uu / quad) if x[0] < 40.0 else 0.0
         ]
         if len(x) > 1:
             # Sigma u = y - beta 1 - gamma X X'u and Sigma a = 1 - gamma X X'a
@@ -268,20 +238,20 @@ class _RemlProblem:
             np.multiply(G, -gamma, out=R[:m])
             R[m + 1, 0] = -beta
             np.multiply(H_inv, gamma, out=K[:m, :m])
-            K[m, m] = (T - 1) / point.quad
-            K[m + 1, m + 1] = 1.0 / point.s_11
+            K[m, m] = (T - 1) / quad
+            K[m + 1, m + 1] = 1.0 / s_11
             if self.precision is not None:
                 solves = self.solves
                 solves[:, :, m:] = solves @ R
                 dlogdet, forms = self.precision.derivatives(K)
             else:
                 self.U[:, m:] = self.B @ R
-                model = CovarianceModel(self.family, point.theta)
-                dlogdet, forms = model.precision_derivatives(self.U, None, K)
+                model = CovarianceModel(self.family, theta)
+                dlogdet, forms = model.precision_derivatives(self.U, K)
             score += [float(d - g) for d, g in zip(dlogdet, forms)]
         if not (math.isfinite(f) and all(map(math.isfinite, score))):
-            return _BIG, None, None
-        return f, score, point
+            return _BIG, None
+        return f, score
 
 
 class _Start(NamedTuple):
@@ -291,20 +261,18 @@ class _Start(NamedTuple):
     fun: float
     success: bool
     nfev: int
-    info: object  # what ``fun`` returned beyond f and the gradient at x
 
 
 def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
     """Minimize ``fun`` from ``x0`` by L-BFGS (Liu & Nocedal 1989).
 
-    ``fun(x)`` returns ``(f, gradient, info)``, the gradient a list, with
-    ``f >= _BIG`` outside the domain; the start keeps the info of the point
-    it stopped at.  Each step backtracks from the quasi-Newton step (the
-    first from a unit step along the negative gradient), at most
-    ``_MAX_STEP`` long in every coordinate, until f falls by the Armijo
-    fraction of the predicted decrease.  A start converges when the
-    gradient's largest component is at most ``tol``, or where f is flat to
-    rounding: when the step predicts a decrease below
+    ``fun(x)`` returns ``(f, gradient)``, the gradient a list, with
+    ``f >= _BIG`` outside the domain.  Each step backtracks from the
+    quasi-Newton step (the first from a unit step along the negative
+    gradient), at most ``_MAX_STEP`` long in every coordinate, until f
+    falls by the Armijo fraction of the predicted decrease.  A start
+    converges when the gradient's largest component is at most ``tol``, or
+    where f is flat to rounding: when the step predicts a decrease below
     ``_FLAT * max(1, |f|)``, or when no step longer than ``tol`` in its
     largest coordinate lowers f.  It stops unconverged after ``max_evals``
     calls of ``fun``.
@@ -313,10 +281,10 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
     Python floats, where numpy's per-call overhead would dominate.
     """
     x = [float(v) for v in x0]
-    f, g, info = fun(x)
+    f, g = fun(x)
     nfev = 1
     if f >= _BIG:
-        return _Start(np.array(x), f, False, nfev, info)
+        return _Start(np.array(x), f, False, nfev)
     pairs = []
     while max(map(abs, g)) > tol:
         # Two-loop recursion; inner products are correctly rounded (fsum),
@@ -344,18 +312,18 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
             d = [-v / longest for v in g]
             slope = fsum(map(mul, g, d))
         if -slope <= _FLAT * max(1.0, abs(f)):
-            return _Start(np.array(x), f, True, nfev, info)
+            return _Start(np.array(x), f, True, nfev)
         longest = max(map(abs, d))
         t = min(1.0, _MAX_STEP / longest)
         while True:
             if nfev >= max_evals:
-                return _Start(np.array(x), f, False, nfev, info)
-            f_new, g_new, info_new = fun([p + t * q for p, q in zip(x, d)])
+                return _Start(np.array(x), f, False, nfev)
+            f_new, g_new = fun([p + t * q for p, q in zip(x, d)])
             nfev += 1
             if f_new < f and f_new <= f + 1e-4 * t * slope:
                 break
             if t * longest <= tol:
-                return _Start(np.array(x), f, True, nfev, info)
+                return _Start(np.array(x), f, True, nfev)
             # Minimum of the quadratic through f, slope and f_new, kept in [t/10, t/2].
             t = min(max(-slope * t * t / (2.0 * (f_new - f - slope * t)), 0.1 * t), 0.5 * t)
         s = [t * v for v in d]
@@ -363,8 +331,8 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
         sy = fsum(map(mul, s, y))
         if sy > 0:
             pairs = (pairs + [(s, y, 1.0 / sy)])[-memory:]
-        x, f, g, info = [a + b for a, b in zip(x, s)], f_new, g_new, info_new
-    return _Start(np.array(x), f, True, nfev, info)
+        x, f, g = [a + b for a, b in zip(x, s)], f_new, g_new
+    return _Start(np.array(x), f, True, nfev)
 
 
 def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
@@ -445,20 +413,27 @@ def reml_estimate(
 
     # Points far out overflow and are scored as outside the domain.
     with np.errstate(all="ignore"):
-        results = [_lbfgs(problem.evaluate, x0, max_evals, xatol) for x0 in starts]
-    finite = [r for r in results if r.fun < _BIG]
-    if not finite:
-        raise AllStartsFailed("no start produced a finite restricted likelihood")
-    best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
-    if not best.success:
-        near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
-        best = min(near, key=lambda r: r.fun, default=best)
-    # The winning start's own evaluation at its point, as a fresh profile gives it.
-    sigma2_A, sigma2_eps, loglik = best.info.report()
+        results = [_lbfgs(problem.objective_and_score, x0, max_evals, xatol) for x0 in starts]
+        finite = [r for r in results if r.fun < _BIG]
+        if not finite:
+            raise AllStartsFailed("no start produced a finite restricted likelihood")
+        best = min(finite, key=lambda r: r.fun)  # the lowest start index among ties
+        if not best.success:
+            near = [r for r in finite if r.success and r.fun - best.fun <= xatol]
+            best = min(near, key=lambda r: r.fun, default=best)
+        # The winning vertex had a finite objective, so it profiles.
+        gamma, theta, quad, logdet, s_11, _ = problem.profile(best.x)
+    sigma2_eps = quad / (problem.T - 1)
+    sigma2_A = gamma * sigma2_eps
+    loglik = -0.5 * (
+        (problem.T - 1) * (math.log(2.0 * math.pi * sigma2_eps) + 1.0)
+        + logdet
+        + math.log(s_11)
+    )
     fit = RemlFit(
         sigma2_A=sigma2_A,
         sigma2_eps=sigma2_eps,
-        theta=best.info.theta,
+        theta=theta,
         family=family,
         log_restricted_likelihood=loglik,
         converged=bool(best.success),
@@ -471,5 +446,5 @@ def reml_estimate(
         f"reml:{family}", sigma2_A, total, extra_flags=flags
     )
     # Report the model-based noise level instead of the residual total - raw.
-    level = noise_level(CovarianceModel(family, fit.theta), design, sigma2_eps)
+    level = noise_level(CovarianceModel(family, theta), design, sigma2_eps)
     return fit, replace(estimate, noise_level=level)

@@ -16,6 +16,8 @@ from shufflevar import (
     sample_experiment,
 )
 from shufflevar.noise import (
+    _ExpNuggetPrecision,
+    _lapack,
     _toeplitz,
     ar_autocorrelations,
     make_truth,
@@ -63,6 +65,27 @@ class TestExpNugget:
             cov_exp_nugget(5, 0.5, 0.0)
         with pytest.raises(ValueError, match="lam2"):
             cov_exp_nugget(5, 0.5, float("nan"))
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_structured_solve_fills_its_arrays_at_each_point(self, in_place):
+        # The derivatives read SU = Sigma^-1 B and MU = M^-1 B from the
+        # arrays they view, so each solve must land there, in both forms of
+        # Sigma^-1 (lam1 delta below nu, then above it) and also where the
+        # LAPACK wrapper hands back a copy instead of solving in place.
+        T = 30
+        B = np.asfortranarray(np.random.default_rng(0).standard_normal((T, 4)))
+        precision = _ExpNuggetPrecision(B)
+        if not in_place:
+            dpttrs = _lapack().dpttrs
+            precision.dpttrs = lambda d, e, b, overwrite_b: dpttrs(d, e, b.copy())
+        for lam1, lam2 in [(0.3, 5.0), (0.95, 2.0), (0.6, 12.0)]:
+            logdet = precision.solve(lam1, lam2)
+            Sigma = cov_exp_nugget(T, lam1, lam2)
+            # M = delta K^-1 Sigma for K the AR(1) correlation (lam1 = 1).
+            M = -np.expm1(-2.0 / lam2) * np.linalg.solve(cov_exp_nugget(T, 1.0, lam2), Sigma)
+            np.testing.assert_allclose(precision.SU, np.linalg.solve(Sigma, B), rtol=1e-9)
+            np.testing.assert_allclose(precision.MU, np.linalg.solve(M, B), rtol=1e-9)
+            assert logdet == pytest.approx(np.linalg.slogdet(Sigma)[1], rel=1e-12)
 
 
 class TestBlockCovariance:

@@ -235,46 +235,19 @@ def test_objective_and_score_bits_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-class TestReusedFinalEvaluation:
-    """A fit reports its winning start's own last accepted evaluation, and
-    per-design caches leave no trace from one fit to the next."""
-
-    @pytest.mark.parametrize("family", ["exp_nugget", "iid", "ar"])
-    def test_fit_reports_a_fresh_profile_at_its_point(self, monkeypatch, small_design, family):
-        # Small budgets stop some starts right after a rejected line-search
-        # trial, whose evaluation is not the start's point.
-        d = small_design
-        y, _ = sample_experiment(
-            d, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(44, 0)
-        )
-        problem = _RemlProblem(y, d, family, 2)
-        starts = []
-        lbfgs = reml_module._lbfgs
-        monkeypatch.setattr(
-            reml_module, "_lbfgs", lambda *a, **k: starts.append(lbfgs(*a, **k)) or starts[-1]
-        )
-        for max_evals in range(2, 16):
-            starts.clear()
-            fit, _ = reml_estimate(
-                y, d, family, n_starts=3, max_evals=max_evals, xatol=1e-6, seed=0, ar_order=2
-            )
-            with np.errstate(all="ignore"):
-                fresh = [problem.profile(s.x)[0] for s in starts]
-            assert [p.report() for p in fresh] == [s.info.report() for s in starts]
-            reported = (fit.sigma2_A, fit.sigma2_eps, fit.log_restricted_likelihood)
-            assert (reported, fit.theta) in [(p.report(), p.theta) for p in fresh]
-
-    def test_fit_bits_do_not_depend_on_earlier_fits(self):
-        src = str(Path(shufflevar.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _FITS_IN_ORDER], env=env, check=True,
-            capture_output=True, text=True,
-        )
-        first, *later = (part.strip() for part in proc.stdout.split("\n\n"))
-        assert len(first.splitlines()) == 2 and len(later) == 2
-        assert later == [first, first]
+def test_fit_bits_do_not_depend_on_earlier_fits():
+    # Each fit's problem holds its own work arrays: nothing of one fit
+    # reaches the next.
+    src = str(Path(shufflevar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FITS_IN_ORDER], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    first, *later = (part.strip() for part in proc.stdout.split("\n\n"))
+    assert len(first.splitlines()) == 2 and len(later) == 2
+    assert later == [first, first]
 
 
 # Fits two series on one design (T = 48) first in a fresh process, then
@@ -472,18 +445,15 @@ class TestConvergedTie:
     X_BUDGET = np.array([math.log(0.2), 0.5, math.log(4.0)])
 
     def _fit(self, monkeypatch, design, gap):
+        f = 966.7316669777941
+        results = iter([
+            reml_module._Start(x=self.X_CONVERGED, fun=f, success=True, nfev=40),
+            reml_module._Start(x=self.X_BUDGET, fun=f - gap, success=False, nfev=600),
+        ])
+        monkeypatch.setattr(reml_module, "_lbfgs", lambda *a, **k: next(results))
         y, _ = sample_experiment(
             design, 0.3, CovarianceModel.exp_nugget(0.5, 5.0), 1.0, seed=substream(43, 0)
         )
-        problem = _RemlProblem(y, design, "exp_nugget", 3)
-        f = 966.7316669777941
-        results = iter([
-            reml_module._Start(x=self.X_CONVERGED, fun=f, success=True, nfev=40,
-                               info=problem.profile(self.X_CONVERGED)[0]),
-            reml_module._Start(x=self.X_BUDGET, fun=f - gap, success=False, nfev=600,
-                               info=problem.profile(self.X_BUDGET)[0]),
-        ])
-        monkeypatch.setattr(reml_module, "_lbfgs", lambda *a, **k: next(results))
         return reml_estimate(
             y, design, "exp_nugget", n_starts=2, max_evals=600, xatol=1e-5, seed=0
         )
