@@ -17,7 +17,6 @@ from .design import (
 from .estimators import (
     TrivialPermutation,
     VarianceEstimate,
-    average_shuffle,
     consistency_diagnostic,
     mom_estimate,
     shuffle_estimate,
@@ -27,9 +26,6 @@ from .noise import (
     ExperimentTruth,
     FactorizationFailure,
     NonStationary,
-    cov_ar,
-    cov_block,
-    cov_exp_nugget,
     noise_conservation_gap,
     noise_level,
     sample_experiment,

@@ -92,19 +92,6 @@ class DesignSchedule:
         idx = self.block_index
         return [np.flatnonzero(idx == b) for b in range(self.n_blocks)]
 
-    def averaging_matrix(self) -> np.ndarray:
-        """Dense T x T matrix replacing each entry by its treatment average.
-
-        Intended for diagnostics and tests only; the contrast functions
-        below never materialize it.
-        """
-        ind = np.equal.outer(self.stimulus_index, self.stimulus_index)
-        return ind.astype(float) / self.n
-
-    def global_matrix(self) -> np.ndarray:
-        """Dense T x T global-averaging matrix (all entries 1/T)."""
-        return np.full((self.T, self.T), 1.0 / self.T)
-
 
 def build_design(
     schedule: Sequence[Hashable],

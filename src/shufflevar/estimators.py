@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -126,27 +126,6 @@ def mom_estimate(y, design: DesignSchedule):
     fits = [
         _finish("mom", t - nh, t, f_stat=t / nh if nh > 0 else math.inf)
         for t, nh in zip(total, noise_hat)
-    ]
-    return fits[0] if np.ndim(y) == 1 else tuple(fits)
-
-
-def average_shuffle(y, design: DesignSchedule, perm_list: Sequence[PermutationSpec]):
-    """Plain average of the raw shuffle estimates over several permutations.
-
-    ``y`` is a series or a T x S matrix of series; each series' raw
-    estimates are averaged as one 1-D ``np.mean``.  Clamping and the
-    explainable-variance plug-in are applied once, to the averaged raw
-    estimate.
-    """
-    if not perm_list:
-        raise ValueError("need at least one permutation")
-    Y = _columns(y, design)
-    parts = [shuffle_estimate(Y, design, p) for p in perm_list]
-    raw = np.array([[e.sigma2_A_raw for e in part] for part in parts]).T.copy()
-    mean_alpha = float(np.mean([part[0].alpha for part in parts]))
-    fits = [
-        _finish("shuffle_avg", float(np.mean(r)), e.total, alpha=mean_alpha)
-        for r, e in zip(raw, parts[0])
     ]
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 

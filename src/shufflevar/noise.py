@@ -41,32 +41,9 @@ def _toeplitz(first: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(vals, len(first))[::-1].copy()
 
 
-def cov_exp_nugget(T: int, lam1: float, lam2: float) -> np.ndarray:
-    """Stationary correlation with exponential decay and a nugget.
-
-    Off-diagonal entries are ``lam1 * exp(-|t-u| / lam2)``; the diagonal is
-    exactly 1.  ``lam1`` is the correlated share of the noise variance,
-    ``lam2`` the decay length in time slots.
-    """
-    return _toeplitz(CovarianceModel.exp_nugget(lam1, lam2).autocorrelations(T))
-
-
-def cov_block(
-    design: DesignSchedule, sigma2_block: float, sigma2_unit: float
-) -> np.ndarray:
-    """Covariance of an additive session effect plus white noise.
-
-    Entry (t, u) is ``sigma2_block`` when t and u share a block, plus
-    ``sigma2_unit`` on the diagonal.  Note this is a covariance, not a
-    unit-diagonal correlation.
-    """
-    _check_block(design, sigma2_block, sigma2_unit)
-    same = np.equal.outer(design.block_index, design.block_index)
-    return sigma2_block * same.astype(float) + sigma2_unit * np.eye(design.T)
-
-
 def _check_block(design: DesignSchedule, sigma2_block: float, sigma2_unit: float) -> None:
-    """The block family's parameter checks, for :func:`cov_block` and :func:`noise_level`."""
+    """The block family's parameter checks, for :meth:`CovarianceModel.materialize`
+    and :func:`noise_level`."""
     got = f"sigma2_block={sigma2_block}, sigma2_unit={sigma2_unit}"
     if not (0 <= sigma2_block < math.inf and 0 <= sigma2_unit < math.inf):
         raise ValueError(f"block variances must be finite and nonnegative, got {got}")
@@ -112,19 +89,16 @@ def _yule_walker(a: np.ndarray) -> np.ndarray:
     return Y
 
 
-def cov_ar(T: int, coefficients: Sequence[float]) -> np.ndarray:
-    """Stationary AR correlation matrix (unit diagonal) of size T."""
-    return _toeplitz(ar_autocorrelations(coefficients, T))
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
     """A noise covariance family plus its parameters.
 
-    Use the class methods to construct instances; :meth:`materialize`
-    produces the dense matrix for a given design, and the stationary families
-    give :meth:`autocorrelations` and :meth:`color` without one, as ``iid``
-    and ``ar`` give :meth:`precision_solve`.
+    Use the class methods to construct instances.  The stationary families
+    give :meth:`autocorrelations` and :meth:`color`, and ``iid`` and ``ar``
+    give :meth:`precision_solve`, all without a T x T matrix; every
+    synthetic experiment is drawn through :meth:`color`, or for ``block``
+    through its block effects.  :meth:`materialize` forms the dense T x T
+    covariance, for ``diagnose``'s eigenvalues and as a test oracle.
     """
 
     family: str
@@ -147,8 +121,13 @@ class CovarianceModel:
         return cls("ar", tuple(float(c) for c in coefficients))
 
     def materialize(self, design: DesignSchedule) -> np.ndarray:
+        """The dense T x T covariance: a unit-diagonal correlation, or for
+        ``block`` sigma2_block within a block plus sigma2_unit I."""
         if self.family == "block":
-            return cov_block(design, *self.params)
+            sigma2_block, sigma2_unit = self.params
+            _check_block(design, sigma2_block, sigma2_unit)
+            same = np.equal.outer(design.block_index, design.block_index)
+            return sigma2_block * same.astype(float) + sigma2_unit * np.eye(design.T)
         return _toeplitz(self.autocorrelations(design.T))
 
     def autocorrelations(self, T: int) -> np.ndarray:
@@ -731,6 +710,57 @@ def substream(seed, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 
+# Experiments drawn as one block of rows, and rows that the effects are
+# added to at once, in :func:`_draw_experiments`.
+_BLOCK = 64
+
+
+def _draw_experiments(
+    design: DesignSchedule,
+    sigma2_A: float,
+    model: CovarianceModel,
+    sigma2_eps: float,
+    rng_of,
+    R: int,
+) -> np.ndarray:
+    """R synthetic experiments as the columns of a C-ordered T x R matrix.
+
+    Column r takes standard normals from ``rng_of(r)``: the m treatment
+    effects, then for ``block`` one effect per block, then T for the noise.
+    ``block`` noise is block effects plus white noise; every other family
+    colours its normals in place with :meth:`CovarianceModel.color`.  The
+    normals are drawn a block of experiments at a time as rows and
+    transposed into place, so they are the only array of their size.  The
+    caller checks the parameters (``block`` needs block labels).
+    """
+    m, T = design.m, design.T
+    block = model.family == "block"
+    k = m + design.n_blocks if block else m
+    W = np.empty((k + T, R))
+    rows = np.empty((min(_BLOCK, R), k + T))
+    for r0 in range(0, R, _BLOCK):
+        part = rows[: min(_BLOCK, R - r0)]
+        for r, row in enumerate(part, start=r0):
+            rng_of(r).standard_normal(out=row)
+        W[:, r0 : r0 + len(part)] = part.T
+    E, B, X = W[:m], W[m:k], W[k:]
+    E *= math.sqrt(sigma2_A)
+    if block:
+        sigma2_block, sigma2_unit = model.params
+        B *= math.sqrt(sigma2_eps * sigma2_block)
+        X *= math.sqrt(sigma2_eps * sigma2_unit)
+    else:
+        X *= math.sqrt(sigma2_eps)
+        model.color(X)
+    for t0 in range(0, T, _BLOCK):
+        span = slice(t0, t0 + _BLOCK)
+        effects = E[design.stimulus_index[span]]
+        if block:
+            effects += B[design.block_index[span]]
+        X[span] += effects
+    return X
+
+
 def sample_experiment(
     design: DesignSchedule,
     sigma2_A: float,
@@ -742,14 +772,13 @@ def sample_experiment(
 
     Treatment effects are i.i.d. centered Gaussians with variance
     ``sigma2_A``; the noise is Gaussian with covariance ``sigma2_eps *
-    Sigma``.  Returns the length-T series and its analytic truth.
+    Sigma``.  Returns the length-T series and its analytic truth.  The
+    series is one draw of the sweeps' sampler, :func:`_draw_experiments`.
     """
-    if sigma2_A < 0 or sigma2_eps < 0:
-        raise ValueError("variances must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    chol = psd_cholesky(noise.materialize(design))
-    effects = rng.normal(0.0, np.sqrt(sigma2_A), design.m)
-    eps = np.sqrt(sigma2_eps) * (chol @ rng.standard_normal(design.T))
-    values = effects[design.stimulus_index] + eps
+    for name, value in (("sigma2_A", sigma2_A), ("sigma2_eps", sigma2_eps)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     truth = make_truth(sigma2_A, noise_level(noise, design, sigma2_eps))
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    values = _draw_experiments(design, sigma2_A, noise, sigma2_eps, lambda r: rng, 1)[:, 0]
     return values, truth

@@ -132,17 +132,9 @@ def alpha(design: DesignSchedule, perm: PermutationSpec) -> float:
 
     Always <= 1, with equality exactly for trivial permutations.  Computed
     in O(T) by counting slot pairs that share a stimulus both before and
-    after the shuffle; :func:`alpha_dense` is the dense-trace cross-check.
+    after the shuffle.
     """
     counts = _joint_counts(design, perm)
     n_joint = float(np.sum(counts.astype(float) ** 2))
     return (n_joint / design.n**2 - 1.0) / (design.m - 1)
 
-
-def alpha_dense(design: DesignSchedule, perm: PermutationSpec) -> float:
-    """Mixing coefficient via dense trace algebra (test oracle)."""
-    B = design.averaging_matrix()
-    G = design.global_matrix()
-    g = perm.mapping
-    PBPt = B[np.ix_(g, g)]
-    return float(np.trace((B - G) @ PBPt) / (design.m - 1))

@@ -4,36 +4,37 @@ Each sweep draws synthetic experiments for every signal-variance grid
 point, runs the requested estimators per replicate, and aggregates per
 (grid point, estimator) summaries.
 
-Replicate r of grid point gi draws from its own RNG substream keyed by
-(seed, 2, gi, r): the signal effects first, then the noise.  A grid point's
-replicates are the columns of one C-ordered T x R matrix X, filled a block
-of replicates at a time.  The time-series noise is the Cholesky factor of
-the noise covariance times X's standard normals, applied in place by
-:meth:`~shufflevar.noise.CovarianceModel.color` in O(T R) with neither the
-T x T covariance nor its factor formed; the effects are then added to X a
-block of rows at a time.  Each estimator runs once on X, one column per
-replicate; REML fits replicate r with seed r.  X is the only array of its
-size: the contrasts work in blocks too, and a grid point's X is freed
-before the next is drawn, so a paper-scale sweep (m = 120, n = 15,
-R = 1000) peaks at about 1.25 X under tracemalloc.  The truth of either
-sweep comes from :func:`~shufflevar.noise.noise_level`.  Everything runs
-on the calling thread; ``SweepConfig.threads`` is accepted but no longer
-changes how work runs.
+Both sweeps run one grid loop, and it draws through the same sampler as
+:func:`~shufflevar.noise.sample_experiment`.  Replicate r of grid point gi
+draws from its own RNG substream keyed by (seed, 2, gi, r): the signal
+effects first, then (block noise only) the block effects, then the noise.
+A grid point's replicates are the columns of one C-ordered T x R matrix X,
+filled a block of replicates at a time.  The time-series noise is coloured
+in place by :meth:`~shufflevar.noise.CovarianceModel.color` in O(T R),
+with neither the T x T covariance nor its factor formed.  Each estimator
+runs once on X, one column per replicate; REML fits replicate r with seed
+r.  X is the only array of its size: the contrasts work in blocks too, and
+a grid point's X is freed before the next is drawn, so a paper-scale sweep
+(m = 120, n = 15, R = 1000) peaks at about 1.25 X under tracemalloc.  The
+truth of either sweep comes from :func:`~shufflevar.noise.noise_level`.
+Everything runs on the calling thread; ``SweepConfig.threads`` is accepted
+but no longer changes how work runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import estimators as est
 from .design import DesignSchedule, build_design, treatment_averages
-from .noise import CovarianceModel, make_truth, noise_level, substream
+from .noise import CovarianceModel, _draw_experiments, make_truth, noise_level, substream
 from .noise import psd_cholesky  # noqa: F401  (unused; bench/spans.py wraps it here)
 from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
 from .reml import AllStartsFailed
@@ -171,19 +172,22 @@ def _run_grid(
     cfg: SweepConfig,
     design: DesignSchedule,
     perm: PermutationSpec,
-    level: float,
-    sampler: Callable,
+    model: CovarianceModel,
+    sigma2_eps: float,
 ) -> SweepResult:
     """Shared grid loop: each estimator runs once on a grid point's replicates.
 
-    ``sampler(gi, s2A)`` returns grid point ``gi``'s replicates as the
-    columns of a ``(design.T, cfg.replicates)`` matrix.  A fit that fails or does
-    not converge counts in ``n_fail`` and is left out of the row's summary.
+    Grid point ``gi``'s replicates are the columns of one T x R matrix from
+    :func:`~shufflevar.noise._draw_experiments`, replicate r drawn from its
+    substream (seed, 2, gi, r), with noise ``sigma2_eps`` times ``model``'s
+    covariance.  A fit that fails or does not converge counts in ``n_fail``
+    and is left out of the row's summary.
     """
     names = tuple(cfg.estimators)
     for name in names:
         est.check_estimator(name)
     a = alpha(design, perm)
+    level = noise_level(model, design, sigma2_eps)
     reml_options = dict(
         family=cfg.reml_family,
         n_starts=cfg.reml_starts,
@@ -194,7 +198,8 @@ def _run_grid(
     seeds = range(cfg.replicates)
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        Y = sampler(gi, s2A)
+        rng_of = functools.partial(substream, cfg.seed, 2, gi)
+        Y = _draw_experiments(design, s2A, model, sigma2_eps, rng_of, cfg.replicates)
         truth = make_truth(s2A, level)
         for name in names:
             fits = [
@@ -213,82 +218,19 @@ def _run_grid(
     return SweepResult(rows=tuple(rows), config=cfg)
 
 
-# Replicates drawn as one block of rows, and rows of X that
-# :func:`_add_effects` adds to at once.
-_BLOCK = 64
-
-
-def _draw_normals(cfg: SweepConfig, gi: int, width: int) -> np.ndarray:
-    """``width x R`` standard normals of grid point ``gi``, C-ordered:
-    column r is the draw of replicate r's substream (seed, 2, gi, r).
-
-    A block of replicates is drawn as rows and transposed into place, so
-    the result is the only array of its size.
-    """
-    R = cfg.replicates
-    W = np.empty((width, R))
-    block = np.empty((min(_BLOCK, R), width))
-    for r0 in range(0, R, _BLOCK):
-        rows = block[: min(_BLOCK, R - r0)]
-        for r, row in enumerate(rows, start=r0):
-            substream(cfg.seed, 2, gi, r).standard_normal(out=row)
-        W[:, r0 : r0 + len(rows)] = rows.T
-    return W
-
-
-def _add_effects(X: np.ndarray, *terms) -> None:
-    """``X[t] += E_1[i_1[t]] + E_2[i_2[t]] + ...`` for the ``(E, i)`` pairs
-    in ``terms``, summed left to right, a block of rows at a time."""
-    (first, index), *rest = terms
-    for t0 in range(0, len(X), _BLOCK):
-        rows = slice(t0, t0 + _BLOCK)
-        effects = first[index[rows]]
-        for E, i in rest:
-            effects += E[i[rows]]
-        X[rows] += effects
-
-
 def run_block_sweep(cfg: SweepConfig) -> SweepResult:
     """Sweep with additive block-effect noise and a within-block random shuffle."""
-    setup_rng = substream(cfg.seed, 0)
-    design = make_block_schedule(cfg.m, cfg.n, cfg.n_blocks, setup_rng)
+    design = make_block_schedule(cfg.m, cfg.n, cfg.n_blocks, substream(cfg.seed, 0))
     perm = block_random_perm(design, substream(cfg.seed, 1))
-    level = noise_level(CovarianceModel.block(cfg.sigma2_block, cfg.sigma2_unit), design)
-    m, k = design.m, design.m + design.n_blocks
-
-    def sampler(gi, s2A):
-        # Each replicate draws its effects, its block effects, then its noise.
-        W = _draw_normals(cfg, gi, k + design.T)
-        E, B, X = W[:m], W[m:k], W[k:]
-        E *= np.sqrt(s2A)
-        B *= np.sqrt(cfg.sigma2_block)
-        X *= np.sqrt(cfg.sigma2_unit)
-        _add_effects(X, (E, design.stimulus_index), (B, design.block_index))
-        return X
-
-    return _run_grid(cfg, design, perm, level, sampler)
+    model = CovarianceModel.block(cfg.sigma2_block, cfg.sigma2_unit)
+    return _run_grid(cfg, design, perm, model, 1.0)
 
 
 def run_timeseries_sweep(cfg: SweepConfig) -> SweepResult:
     """Sweep with stationary decaying noise and the order-reversing shuffle."""
-    setup_rng = substream(cfg.seed, 0)
-    design = make_random_schedule(cfg.m, cfg.n, setup_rng)
-    perm = reverse_perm(design.T)
+    design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
     model = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2)
-    level = noise_level(model, design, cfg.sigma2_eps)
-
-    def sampler(gi, s2A):
-        # Each replicate draws its effects, then its noise.
-        W = _draw_normals(cfg, gi, design.m + design.T)
-        E, X = W[: design.m], W[design.m :]
-        # Column r is the noise of replicate r: sqrt(sigma2_eps) L z_r.
-        X *= np.sqrt(cfg.sigma2_eps)
-        model.color(X)
-        E *= np.sqrt(s2A)
-        _add_effects(X, (E, design.stimulus_index))
-        return X
-
-    return _run_grid(cfg, design, perm, level, sampler)
+    return _run_grid(cfg, design, reverse_perm(design.T), model, cfg.sigma2_eps)
 
 
 def run_reml_comparison(cfg: SweepConfig) -> SweepResult:
@@ -313,6 +255,15 @@ class PredictionConfig:
     replicates: int = 2000
     seed: int = 0
     perturbation_sd: float = 0.3
+
+    def __post_init__(self):
+        # Two replicates at least, for the standard errors.
+        for name, least in (("population_size", 1), ("m", 1), ("n", 1), ("replicates", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("sigma2_A", "sigma2_eps", "perturbation_sd"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,37 @@
-"""Dense T x T oracles for the structured noise level in ``shufflevar.noise``.
+"""Dense T x T oracles for the structured paths of ``shufflevar``.
 
-They form the covariance with :meth:`CovarianceModel.materialize` and take
-traces of its blocks, so they cost O(T^2) memory; tests keep T small.
+They form the averaging matrices and the covariance (with
+:meth:`CovarianceModel.materialize`) and take traces of their blocks, so
+they cost O(T^2) memory; tests keep T small.
 """
 
 import numpy as np
+
+from shufflevar.noise import _toeplitz
+
+
+def covariance(model, T) -> np.ndarray:
+    """The T x T correlation of a stationary ``model``: what
+    :meth:`CovarianceModel.materialize` gives for any design of length T."""
+    return _toeplitz(model.autocorrelations(T))
+
+
+def averaging_matrix(design) -> np.ndarray:
+    """B: the T x T matrix replacing each entry by its treatment average."""
+    ind = np.equal.outer(design.stimulus_index, design.stimulus_index)
+    return ind.astype(float) / design.n
+
+
+def global_matrix(design) -> np.ndarray:
+    """G: the T x T global-averaging matrix (all entries 1/T)."""
+    return np.full((design.T, design.T), 1.0 / design.T)
+
+
+def alpha_dense(design, perm) -> float:
+    """Mixing coefficient ``tr((B - G) P B P') / (m - 1)``."""
+    B = averaging_matrix(design)
+    g = perm.mapping
+    return float(np.trace((B - global_matrix(design)) @ B[np.ix_(g, g)]) / (design.m - 1))
 
 
 def contrast_trace(M, design) -> float:

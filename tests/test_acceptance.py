@@ -22,7 +22,6 @@ from shufflevar import (
     noise_level,
     reverse_perm,
 )
-from shufflevar.noise import cov_exp_nugget
 from shufflevar.sweeps import (
     PredictionConfig,
     SweepConfig,
@@ -31,6 +30,8 @@ from shufflevar.sweeps import (
     run_reml_comparison,
     run_timeseries_sweep,
 )
+
+from dense_oracles import averaging_matrix, global_matrix
 
 SEED = 20230815
 
@@ -161,12 +162,13 @@ def test_criterion_4_exactness_suite():
     d = build_design(sched.tolist())
     y = rng.standard_normal(d.T)
     quad = (
-        np.sum(((d.averaging_matrix() - d.global_matrix()) @ y) ** 2)
+        np.sum(((averaging_matrix(d) - global_matrix(d)) @ y) ** 2)
         / ((d.m - 1) * d.n)
     )
     assert abs(ms_between(y, d) - quad) <= 1e-10 * max(1.0, abs(quad))
 
-    assert cov_exp_nugget(200, 0.7, 30.0)[0, 125] == pytest.approx(0.0109, abs=1e-3)
+    rho = CovarianceModel.exp_nugget(0.7, 30.0).autocorrelations(200)
+    assert rho[125] == pytest.approx(0.0109, abs=1e-3)
 
     assert noise_level(CovarianceModel.iid(), d, 2.5) == pytest.approx(2.5 / d.n, rel=1e-12)
 

@@ -11,6 +11,8 @@ from shufflevar import (
     treatment_averages,
 )
 
+from dense_oracles import averaging_matrix, global_matrix
+
 
 class TestBuildDesign:
     def test_smallest_balanced(self):
@@ -154,8 +156,8 @@ class TestMsBetween:
             sched = rng.permutation(np.repeat(np.arange(m), n))
             d = build_design(sched.tolist())
             y = rng.standard_normal(d.T)
-            B = d.averaging_matrix()
-            G = d.global_matrix()
+            B = averaging_matrix(d)
+            G = global_matrix(d)
             quad = np.sum(((B - G) @ y) ** 2) / ((m - 1) * n)
             assert ms_between(y, d) == pytest.approx(quad, rel=1e-10)
 
@@ -184,17 +186,17 @@ class TestDenseMatrices:
         rng = np.random.default_rng(3)
         sched = rng.permutation(np.repeat(np.arange(4), 3))
         d = build_design(sched.tolist())
-        B = d.averaging_matrix()
+        B = averaging_matrix(d)
         assert np.allclose(B, B.T)
         assert np.allclose(B, B @ B)
 
     def test_trace_identity(self):
         d = build_design(["a", "b", "c", "a", "b", "c"])
-        B = d.averaging_matrix()
-        G = d.global_matrix()
+        B = averaging_matrix(d)
+        G = global_matrix(d)
         assert np.trace(B - G) == pytest.approx(d.m - 1)
 
     def test_averaging_replicates_treatment_means(self):
         d = build_design(["a", "a", "b", "b"])
         y = np.array([1.0, 2.0, 3.0, 4.0])
-        assert (d.averaging_matrix() @ y).tolist() == [1.5, 1.5, 3.5, 3.5]
+        assert (averaging_matrix(d) @ y).tolist() == [1.5, 1.5, 3.5, 3.5]

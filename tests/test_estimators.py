@@ -5,7 +5,6 @@ from shufflevar import (
     CovarianceModel,
     NoReplication,
     TrivialPermutation,
-    average_shuffle,
     build_design,
     consistency_diagnostic,
     identity_perm,
@@ -16,9 +15,11 @@ from shufflevar import (
     shuffle_estimate,
 )
 from shufflevar.estimators import run_estimator
-from shufflevar.noise import cov_exp_nugget, substream
-from shufflevar.permutations import block_random_perm, cyclic_shift
+from shufflevar.noise import substream
+from shufflevar.permutations import block_random_perm
 from shufflevar.sweeps import make_random_schedule
+
+from dense_oracles import covariance
 
 # Reversal is non-trivial here (alpha = 1/9) and the numbers stay rational.
 SCHED6 = ["a", "a", "b", "b", "a", "b"]
@@ -174,58 +175,6 @@ class TestSeriesMatrix:
         assert out[0].method == out[2].method == "reml:iid"
 
 
-class TestAverageShuffle:
-    def test_single_perm_matches_shuffle(self):
-        d = build_design(SCHED6)
-        y = np.array([0.4, 1.1, -0.7, 0.2, 0.9, -1.3])
-        P = reverse_perm(6)
-        single = shuffle_estimate(y, d, P)
-        avg = average_shuffle(y, d, [P])
-        assert avg.sigma2_A_raw == pytest.approx(single.sigma2_A_raw, rel=1e-14)
-        assert avg.alpha == pytest.approx(single.alpha, rel=1e-14)
-        assert avg.method == "shuffle_avg"
-
-    def test_mean_of_raws(self):
-        rng = np.random.default_rng(4)
-        d = make_random_schedule(6, 4, rng)
-        y = rng.standard_normal(d.T)
-        perms = [reverse_perm(d.T), cyclic_shift(d.T, 1), cyclic_shift(d.T, 2)]
-        parts = [shuffle_estimate(y, d, p).sigma2_A_raw for p in perms]
-        avg = average_shuffle(y, d, perms)
-        assert avg.sigma2_A_raw == pytest.approx(np.mean(parts), rel=1e-12)
-
-    def test_matrix_columns_match_series(self):
-        # Eleven permutations: more than numpy's pairwise-summation block of
-        # eight, so a column-wise mean in another order would show.
-        rng = np.random.default_rng(8)
-        d = make_random_schedule(12, 4, rng)
-        Y = rng.standard_normal((d.T, 5))
-        perms = [reverse_perm(d.T)] + [cyclic_shift(d.T, k) for k in range(1, 11)]
-        got = average_shuffle(Y, d, perms)
-        assert isinstance(got, tuple) and len(got) == Y.shape[1]
-        for j, est in enumerate(got):
-            assert est == average_shuffle(Y[:, j], d, perms)
-
-    def test_clamp_applied_once(self):
-        # individual raws may be negative; only the averaged raw is clamped
-        rng = np.random.default_rng(6)
-        d = make_random_schedule(5, 3, rng)
-        y = rng.standard_normal(d.T)
-        perms = [reverse_perm(d.T), cyclic_shift(d.T, 1)]
-        avg = average_shuffle(y, d, perms)
-        assert avg.sigma2_A == max(0.0, avg.sigma2_A_raw)
-
-    def test_empty_list_rejected(self):
-        d = build_design(SCHED6)
-        with pytest.raises(ValueError):
-            average_shuffle([0.0] * 6, d, [])
-
-    def test_trivial_member_raises(self):
-        d = build_design(SCHED6)
-        with pytest.raises(TrivialPermutation):
-            average_shuffle([0.0] * 6, d, [reverse_perm(6), identity_perm(6)])
-
-
 class TestConsistencyDiagnostic:
     def test_identity_covariance(self):
         m, n = 4, 3
@@ -246,7 +195,7 @@ class TestConsistencyDiagnostic:
     def test_decays_for_short_range_noise(self):
         # short-range correlation should diagnose far smaller than rank-one
         T = 60
-        short = consistency_diagnostic(cov_exp_nugget(T, 0.5, 2.0), 20, 3)
+        short = consistency_diagnostic(covariance(CovarianceModel.exp_nugget(0.5, 2.0), T), 20, 3)
         flat = consistency_diagnostic(np.ones((T, T)) * 0.999 + 0.001 * np.eye(T), 20, 3)
         assert short < flat / 10
 

@@ -8,9 +8,6 @@ from shufflevar import (
     MissingBlocks,
     NonStationary,
     build_design,
-    cov_ar,
-    cov_block,
-    cov_exp_nugget,
     noise_conservation_gap,
     noise_level,
     sample_experiment,
@@ -33,38 +30,38 @@ from shufflevar.permutations import (
 )
 from shufflevar.sweeps import make_block_schedule, make_random_schedule
 
-from dense_oracles import dense_gap, dense_noise_level
+from dense_oracles import covariance, dense_gap, dense_noise_level
 
 
 class TestExpNugget:
     def test_zero_lam1_identity(self):
-        assert np.array_equal(cov_exp_nugget(6, 0.0, 10.0), np.eye(6))
+        assert np.array_equal(covariance(CovarianceModel.exp_nugget(0.0, 10.0), 6), np.eye(6))
 
     def test_unit_diagonal(self):
-        S = cov_exp_nugget(8, 0.9, 3.0)
+        S = covariance(CovarianceModel.exp_nugget(0.9, 3.0), 8)
         assert np.allclose(np.diag(S), 1.0)
 
     def test_reference_long_range_value(self):
-        S = cov_exp_nugget(200, 0.7, 30.0)
+        S = covariance(CovarianceModel.exp_nugget(0.7, 30.0), 200)
         assert S[0, 125] == pytest.approx(0.0109, abs=1e-3)
 
     def test_toeplitz_structure(self):
-        S = cov_exp_nugget(10, 0.5, 4.0)
+        S = covariance(CovarianceModel.exp_nugget(0.5, 4.0), 10)
         for k in range(1, 10):
             diag = np.diag(S, k)
             assert np.allclose(diag, diag[0])
 
     def test_symmetric(self):
-        S = cov_exp_nugget(15, 0.8, 7.0)
+        S = covariance(CovarianceModel.exp_nugget(0.8, 7.0), 15)
         assert np.allclose(S, S.T)
 
     def test_param_range(self):
         with pytest.raises(ValueError):
-            cov_exp_nugget(5, 1.2, 3.0)
+            covariance(CovarianceModel.exp_nugget(1.2, 3.0), 5)
         with pytest.raises(ValueError):
-            cov_exp_nugget(5, 0.5, 0.0)
+            covariance(CovarianceModel.exp_nugget(0.5, 0.0), 5)
         with pytest.raises(ValueError, match="lam2"):
-            cov_exp_nugget(5, 0.5, float("nan"))
+            covariance(CovarianceModel.exp_nugget(0.5, float("nan")), 5)
 
     @pytest.mark.parametrize("in_place", [True, False])
     def test_structured_solve_fills_its_arrays_at_each_point(self, in_place):
@@ -80,9 +77,10 @@ class TestExpNugget:
             precision.dpttrs = lambda d, e, b, overwrite_b: dpttrs(d, e, b.copy())
         for lam1, lam2 in [(0.3, 5.0), (0.95, 2.0), (0.6, 12.0)]:
             logdet = precision.solve(lam1, lam2)
-            Sigma = cov_exp_nugget(T, lam1, lam2)
+            Sigma = covariance(CovarianceModel.exp_nugget(lam1, lam2), T)
             # M = delta K^-1 Sigma for K the AR(1) correlation (lam1 = 1).
-            M = -np.expm1(-2.0 / lam2) * np.linalg.solve(cov_exp_nugget(T, 1.0, lam2), Sigma)
+            K = covariance(CovarianceModel.exp_nugget(1.0, lam2), T)
+            M = -np.expm1(-2.0 / lam2) * np.linalg.solve(K, Sigma)
             np.testing.assert_allclose(precision.SU, np.linalg.solve(Sigma, B), rtol=1e-9)
             np.testing.assert_allclose(precision.MU, np.linalg.solve(M, B), rtol=1e-9)
             assert logdet == pytest.approx(np.linalg.slogdet(Sigma)[1], rel=1e-12)
@@ -96,11 +94,11 @@ class TestBlockCovariance:
         )
 
     def test_zero_block_effect(self):
-        S = cov_block(self._design(), 0.0, 0.7)
+        S = CovarianceModel.block(0.0, 0.7).materialize(self._design())
         assert np.allclose(S, 0.7 * np.eye(8))
 
     def test_structure(self):
-        S = cov_block(self._design(), 0.5, 0.7)
+        S = CovarianceModel.block(0.5, 0.7).materialize(self._design())
         assert S[0, 0] == pytest.approx(1.2)
         assert S[0, 1] == pytest.approx(0.5)  # within block
         assert S[0, 4] == pytest.approx(0.0)  # across blocks
@@ -108,11 +106,11 @@ class TestBlockCovariance:
     def test_missing_blocks(self):
         d = build_design(["a", "a", "b", "b"])
         with pytest.raises(MissingBlocks):
-            cov_block(d, 0.5, 0.7)
+            CovarianceModel.block(0.5, 0.7).materialize(d)
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
-            cov_block(self._design(), 0.0, 0.0)
+            CovarianceModel.block(0.0, 0.0).materialize(self._design())
 
     @pytest.mark.parametrize("params", [(np.nan, 1.0), (0.5, np.inf), (-np.inf, 1.0), (0.5, -0.1)])
     def test_bad_variances_rejected_by_matrix_and_level(self, params):
@@ -127,18 +125,18 @@ class TestBlockCovariance:
 
 class TestArCovariance:
     def test_empty_identity(self):
-        assert np.array_equal(cov_ar(5, []), np.eye(5))
+        assert np.array_equal(covariance(CovarianceModel.ar([]), 5), np.eye(5))
 
     def test_ar1_closed_form(self):
-        S = cov_ar(10, [0.5])
+        S = covariance(CovarianceModel.ar([0.5]), 10)
         for k in range(10):
             assert S[0, k] == pytest.approx(0.5**k, rel=1e-12)
 
     def test_nonstationary_rejected(self):
         with pytest.raises(NonStationary):
-            cov_ar(5, [1.01])
+            covariance(CovarianceModel.ar([1.01]), 5)
         with pytest.raises(NonStationary):
-            cov_ar(5, [0.5, 0.6])
+            covariance(CovarianceModel.ar([0.5, 0.6]), 5)
 
     def test_ar3_against_simulation(self):
         # long-run sample autocorrelation of a simulated path
@@ -158,7 +156,7 @@ class TestArCovariance:
             assert sample == pytest.approx(rho[k], abs=5e-3)
 
     def test_unit_diagonal_psd(self):
-        S = cov_ar(30, [0.5, -0.2, 0.1])
+        S = covariance(CovarianceModel.ar([0.5, -0.2, 0.1]), 30)
         assert np.allclose(np.diag(S), 1.0)
         assert np.linalg.eigvalsh(S).min() > -1e-8
 
@@ -430,7 +428,7 @@ class TestPsdCholesky:
         assert np.allclose(L @ L.T, S, atol=1e-4)
 
     def test_exact_factor(self):
-        S = cov_exp_nugget(12, 0.7, 5.0)
+        S = covariance(CovarianceModel.exp_nugget(0.7, 5.0), 12)
         L = psd_cholesky(S)
         assert np.allclose(L @ L.T, S, atol=1e-10)
 
@@ -476,18 +474,76 @@ class TestSampleExperiment:
         se = totals.std(ddof=1) / np.sqrt(len(totals))
         assert abs(totals.mean() - truth.total) <= 3 * se
 
-    def test_noise_covariance_converges(self):
-        d = make_random_schedule(4, 5, np.random.default_rng(2))  # T = 20
-        model = CovarianceModel.exp_nugget(0.6, 4.0)
+    @pytest.mark.parametrize(
+        "model",
+        [CovarianceModel.exp_nugget(0.6, 4.0), CovarianceModel.block(0.5, 0.7)],
+        ids=lambda model: model.family,
+    )
+    def test_noise_covariance_converges(self, model):
+        # T = 20, cut into four blocks of five slots for the block noise.
+        labels = make_random_schedule(4, 5, np.random.default_rng(2)).labels
+        d = build_design(labels, np.arange(20) // 5)
         Sigma = model.materialize(d)
         draws = np.empty((10_000, d.T))
         for r in range(draws.shape[0]):
             y, _ = sample_experiment(d, 0.0, model, 1.0, seed=substream(7, r))
             draws[r] = y
         emp = np.cov(draws.T)
-        # entrywise 5 standard errors; SE of a covariance entry is ~ sqrt((1+rho^2)/R)
-        se = np.sqrt((1 + Sigma**2) / draws.shape[0])
+        # entrywise 5 standard errors; SE of a covariance entry is
+        # sqrt((Sigma_tt Sigma_uu + Sigma_tu^2) / R), ~ sqrt((1+rho^2)/R) for a
+        # unit diagonal
+        var = np.diag(Sigma)
+        se = np.sqrt((np.outer(var, var) + Sigma**2) / draws.shape[0])
         assert np.all(np.abs(emp - Sigma) <= 5 * se)
+
+    def test_block_noise_needs_block_labels(self):
+        d = make_random_schedule(4, 5, np.random.default_rng(2))
+        with pytest.raises(MissingBlocks):
+            sample_experiment(d, 0.3, CovarianceModel.block(0.5, 0.7), 1.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["sigma2_A", "sigma2_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_bad_variance_rejected(self, name, value):
+        # nan gave an all-nan series and inf a series of +-inf before
+        d = make_random_schedule(4, 5, np.random.default_rng(2))
+        args = {"sigma2_A": 0.4, "sigma2_eps": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            sample_experiment(d, args["sigma2_A"], CovarianceModel.iid(), args["sigma2_eps"], 0)
+
+    @pytest.mark.parametrize(
+        "model", [CovarianceModel.exp_nugget(0.7, 30.0), CovarianceModel.block(0.5, 0.7)],
+        ids=lambda model: model.family,
+    )
+    def test_needs_no_dense_matrix(self, model):
+        # Paper scale, T = 1800: the T x T covariance alone would take 26 MB.
+        d = make_block_schedule(120, 15, 20, np.random.default_rng(0))
+        sample_experiment(d, 0.4, model, 1.0, seed=0)  # first-call set-up is not counted
+        tracemalloc.start()
+        try:
+            sample_experiment(d, 0.4, model, 1.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize(
+        "model",
+        [CovarianceModel.iid(), CovarianceModel.exp_nugget(0.6, 4.0), CovarianceModel.ar([0.5])],
+        ids=lambda model: model.family,
+    )
+    def test_draws_effects_then_coloured_normals(self, model):
+        # The effects are the generator's first m standard normals and the
+        # noise its next T, coloured in place by the model's factor; the
+        # dense Cholesky factor gives the same series to rounding.
+        d = make_random_schedule(4, 5, np.random.default_rng(2))
+        y, _ = sample_experiment(d, 0.4, model, 1.7, seed=3)
+        z = np.random.default_rng(3).standard_normal(d.m + d.T)
+        effects = np.sqrt(0.4) * z[: d.m][d.stimulus_index]
+        noise = np.sqrt(1.7) * z[d.m :]
+        model.color(noise)
+        assert np.array_equal(y, effects + noise)
+        dense = effects + np.sqrt(1.7) * (psd_cholesky(covariance(model, d.T)) @ z[d.m :])
+        assert np.abs(y - dense).max() <= 1e-12
 
 
 class TestTruth:

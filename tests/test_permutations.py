@@ -18,11 +18,10 @@ from shufflevar.noise import CovarianceModel
 from shufflevar.permutations import (
     OddLength,
     PermutationSpec,
-    alpha_dense,
     perm_from_indices,
 )
 
-from dense_oracles import contrast_trace
+from dense_oracles import alpha_dense, averaging_matrix, contrast_trace, global_matrix
 
 
 def random_balanced_design(rng, max_m=6, max_n=5):
@@ -235,5 +234,5 @@ class TestContrastTrace:
             d = random_balanced_design(rng)
             A = rng.standard_normal((d.T, d.T))
             M = A + A.T
-            dense = np.trace((d.averaging_matrix() - d.global_matrix()) @ M)
+            dense = np.trace((averaging_matrix(d) - global_matrix(d)) @ M)
             assert contrast_trace(M, d) == pytest.approx(dense, rel=1e-10, abs=1e-10)

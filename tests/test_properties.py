@@ -16,7 +16,9 @@ from shufflevar import (
 )
 from shufflevar.estimators import TrivialPermutation
 from shufflevar.noise import substream
-from shufflevar.permutations import PermutationSpec, alpha_dense, block_random_perm
+from shufflevar.permutations import PermutationSpec, block_random_perm
+
+from dense_oracles import alpha_dense
 
 design_params = st.tuples(
     st.integers(min_value=2, max_value=7),   # m

@@ -23,6 +23,8 @@ from shufflevar.noise import NonStationary, substream
 from shufflevar.reml import _BIG, _RemlProblem
 from shufflevar.sweeps import make_random_schedule
 
+from dense_oracles import averaging_matrix
+
 
 @pytest.fixture(scope="module")
 def small_design():
@@ -49,7 +51,7 @@ def dense_objective(problem, design, y, x):
     except NonStationary:
         return math.inf
     try:
-        logdet, s = dense_gram(Sigma + gamma * design.n * design.averaging_matrix(), y)
+        logdet, s = dense_gram(Sigma + gamma * design.n * averaging_matrix(design), y)
     except np.linalg.LinAlgError:
         return math.inf
     quad = s[0, 0] - s[0, 1] ** 2 / s[1, 1]
@@ -62,7 +64,7 @@ def dense_restricted_loglik(y, design, fit):
     """Restricted log-likelihood of y ~ N(mu 1, V) at a fit's parameters,
     without the constant 1/2 log T of the intercept."""
     Sigma = CovarianceModel(fit.family, fit.theta).materialize(design)
-    V = fit.sigma2_eps * Sigma + fit.sigma2_A * design.n * design.averaging_matrix()
+    V = fit.sigma2_eps * Sigma + fit.sigma2_A * design.n * averaging_matrix(design)
     logdet, s = dense_gram(V, y)
     quad = s[0, 0] - s[0, 1] ** 2 / s[1, 1]
     T = len(y)

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from shufflevar import estimators as est
 from shufflevar.estimators import run_estimator
-from shufflevar.noise import CovarianceModel, psd_cholesky, substream
+from shufflevar.noise import CovarianceModel, psd_cholesky, sample_experiment, substream
 from shufflevar.permutations import block_random_perm, reverse_perm
 from shufflevar.sweeps import (
     PredictionConfig,
@@ -241,6 +242,36 @@ def test_one_t_by_r_matrix_per_grid_point(sweep):
     assert peak < 1.5 * 1800 * 1000 * 8
 
 
+@pytest.mark.parametrize("kind", ["block", "timeseries"])
+def test_replicates_are_sample_experiment_draws(kind, monkeypatch):
+    # One sampler: column r of grid point gi's matrix is the series that
+    # sample_experiment draws from the same substream, bit for bit.  70
+    # replicates span two blocks of drawn rows.
+    cfg = replace(SMALL_BLOCK if kind == "block" else SMALL_TS, replicates=70, sigma2_eps=1.7)
+    if kind == "block":  # the block sweep's noise ignores sigma2_eps
+        sweep = run_block_sweep
+        design = make_block_schedule(cfg.m, cfg.n, cfg.n_blocks, substream(cfg.seed, 0))
+        model, sigma2_eps = CovarianceModel.block(cfg.sigma2_block, cfg.sigma2_unit), 1.0
+    else:
+        sweep = run_timeseries_sweep
+        design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
+        model, sigma2_eps = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2), cfg.sigma2_eps
+    seen = []
+    run = est.run_estimator
+
+    def spy(name, Y, *args, **kwargs):
+        seen.append(Y.copy())
+        return run(name, Y, *args, **kwargs)
+
+    monkeypatch.setattr(est, "run_estimator", spy)
+    sweep(cfg)
+    assert len(seen) == len(cfg.sigma2_A_grid)
+    for gi, (s2A, Y) in enumerate(zip(cfg.sigma2_A_grid, seen)):
+        for r in range(cfg.replicates):
+            rng = substream(cfg.seed, 2, gi, r)
+            assert np.array_equal(Y[:, r], sample_experiment(design, s2A, model, sigma2_eps, rng)[0])
+
+
 class TestRemlComparison:
     def test_appends_reml(self):
         from dataclasses import replace
@@ -338,6 +369,34 @@ class TestPredictionCheck:
         assert out.noise_level_true == pytest.approx(
             dense_noise_level(cfg.noise, design, cfg.sigma2_eps), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("population_size", 0, "population_size must be at least 1, got 0"),
+            ("m", 0, "m must be at least 1, got 0"),
+            ("n", -2, "n must be at least 1, got -2"),
+            ("replicates", 1, "replicates must be at least 2, got 1"),
+            ("sigma2_A", -0.1, "sigma2_A must be finite and nonnegative, got -0.1"),
+            ("sigma2_A", float("nan"), "sigma2_A must be finite and nonnegative, got nan"),
+            ("sigma2_eps", float("inf"), "sigma2_eps must be finite and nonnegative, got inf"),
+            ("perturbation_sd", -1.0, "perturbation_sd must be finite and nonnegative"),
+            ("perturbation_sd", float("nan"), "perturbation_sd must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value, message):
+        # sigma2_A = -0.1 quietly drew zero effects and reported a negative
+        # omega2; replicates = 1 gave nan standard errors.
+        with pytest.raises(ValueError, match=message):
+            PredictionConfig(**{"population_size": 50, "m": 10, "n": 2, "replicates": 20,
+                                field: value})
+
+    def test_smallest_valid_config_runs(self):
+        out = run_prediction_check(
+            PredictionConfig(population_size=2, m=2, n=1, sigma2_A=0.0, sigma2_eps=0.0,
+                             replicates=2, perturbation_sd=0.0)
+        )
+        assert out.replicates == 2 and out.omega2_true == 0.0
 
     def test_sample_larger_than_population(self):
         with pytest.raises(ValueError):
