@@ -94,11 +94,12 @@ class CovarianceModel:
     """A noise covariance family plus its parameters.
 
     Use the class methods to construct instances.  The stationary families
-    give :meth:`autocorrelations` and :meth:`color`, and ``iid`` and ``ar``
-    give :meth:`precision_solve`, all without a T x T matrix; every
-    synthetic experiment is drawn through :meth:`color`, or for ``block``
-    through its block effects.  :meth:`materialize` forms the dense T x T
-    covariance, for ``diagnose``'s eigenvalues and as a test oracle.
+    give :meth:`autocorrelations` and :meth:`color`, both without a T x T
+    matrix; every synthetic experiment is drawn through :meth:`color`, or
+    for ``block`` through its block effects.  REML's structured solves are
+    :class:`_ExpNuggetPrecision` and :class:`_ArPrecision` (``iid`` and
+    ``ar``).  :meth:`materialize` forms the dense T x T covariance, for
+    ``diagnose``'s eigenvalues and as a test oracle.
     """
 
     family: str
@@ -152,25 +153,6 @@ class CovarianceModel:
         rho[0] = 1.0
         return rho
 
-    def precision_solve(self, B: np.ndarray) -> Tuple[np.ndarray, float]:
-        """``(Sigma^-1 B, log det Sigma)`` for a T x k ``B``, in O(T k).
-
-        Sigma is never formed: ``iid`` returns ``(B, 0)``, and ``ar`` has a
-        banded precision matrix (see :func:`_ar_precision_solve`).
-        ``exp_nugget``'s structured solve is :class:`_ExpNuggetPrecision`,
-        which keeps its factor and work arrays from one point to the next.
-
-        Raises :class:`NonStationary` for non-stationary AR coefficients,
-        ``np.linalg.LinAlgError`` where a factor is not positive definite,
-        and ``ValueError`` for the other families.
-        """
-        B = np.asarray(B, dtype=float)
-        if self.family == "iid":
-            return B, 0.0
-        if self.family == "ar":
-            return _ar_precision_solve(B, self.params)
-        raise ValueError(f"no structured precision for covariance family {self.family!r}")
-
     def color(self, X: np.ndarray) -> None:
         """``X <- L X`` in place for a T x R ``X``, L the lower Cholesky factor
         of Sigma, in O(T R).
@@ -195,22 +177,6 @@ class CovarianceModel:
         elif self.family == "ar":
             _ar_color(X, self.params)
 
-    def precision_derivatives(self, U: np.ndarray, K: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Derivatives in the free parameters p, in O(T k^2) for a T x k U.
-
-        The free parameters are the coefficients for ``ar`` and none for
-        ``iid`` (``exp_nugget``'s are in
-        :meth:`_ExpNuggetPrecision.derivatives`).  Returns
-        ``dlogdet[j] = d log det Sigma / dp_j`` and
-        ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dp_j) Sigma^-1 W_i``, summed
-        over the columns of ``W = U K`` for a k x k ``K``.
-        """
-        if self.family == "iid":
-            return np.zeros(0), np.zeros(0)
-        if self.family == "ar":
-            return _ar_precision_derivatives(U, U @ K, self.params)
-        raise ValueError(f"no structured precision for covariance family {self.family!r}")
-
 
 @functools.cache
 def _lapack():
@@ -228,6 +194,14 @@ def _dot(P: np.ndarray, Q: np.ndarray) -> float:
 class _ExpNuggetPrecision:
     """``exp_nugget``'s structured precision for one T x k right-hand side B.
 
+    A REML precision object (this or :class:`_ArPrecision`) is built once
+    per fit on the column-major ``B = [X, y, 1]``.  ``solve(*theta)``
+    returns log det Sigma and leaves ``SU = Sigma^-1 B``.  Then
+    ``derivatives(R, K)`` returns ``(dlogdet, forms)`` at ``U = [X, B R]``
+    for a k x 2 R and a symmetric k x k K: ``dlogdet[j] = d log det Sigma
+    / dx_j`` and ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dx_j) Sigma^-1
+    W_i`` over the columns of ``W = U K``, x the free parameters.
+
     ``Sigma = (1 - lam1) I + lam1 K``, K the AR(1) correlation at
     ``phi = exp(-1/lam2)``.  With ``u = 1 - phi`` and ``delta = 1 - phi^2``,
     ``A = delta K^-1 = phi L + u^2 I + phi u (e_1 e_1' + e_T e_T')`` is
@@ -239,10 +213,10 @@ class _ExpNuggetPrecision:
         log det Sigma = log det M - log delta.
 
     :meth:`solve` factors M once per point and sets ``SU = Sigma^-1 B`` and
-    ``MU = M^-1 B``; :meth:`derivatives` and the bands of M^-1 reuse the
-    factor.  A caller may update SU and MU in place to the solves of another
-    U before :meth:`derivatives`.  The constants and every T x k array are
-    kept from one point to the next, so a point allocates nothing that size.
+    ``MU = M^-1 B``; :meth:`derivatives` turns them into the solves of U in
+    place, and it and the bands of M^-1 reuse the factor.  The constants and
+    every T x k array are kept from one point to the next, so a point
+    allocates nothing that size.
     """
 
     def __init__(self, B: np.ndarray):
@@ -263,6 +237,7 @@ class _ExpNuggetPrecision:
         # of their column-major ravel.
         self.work = np.empty((2, 3, k, T))
         self.SU, self.MU, self.MV = (P.T for P in self.work[0])
+        self.solves = self.work[0, :2].transpose(0, 2, 1)  # SU, MU
         self.flat = self.work.reshape(2, -1)
         self.pairs = (self.work[:, :2].reshape(2, 2, -1), self.work[:, 2].reshape(2, -1))
         ends = slice(None, None, T - 1)  # the first and last rows
@@ -370,11 +345,13 @@ class _ExpNuggetPrecision:
         tr_inv, inner, off_sum = np.einsum("ji,i->j", self.weights, diag).tolist()
         return tr_inv, inner, -off_sum
 
-    def derivatives(self, K: np.ndarray):
-        """``(dlogdet, forms)`` of :meth:`CovarianceModel.precision_derivatives`
-        at the point last solved, for the U whose solves SU and MU hold.
+    def derivatives(self, R: np.ndarray, K: np.ndarray):
+        """``(dlogdet, forms)`` at the point last solved, in ``(logit lam1,
+        log lam2)``.
 
-        With A, M, u, phi, delta and nu as above (``Sigma = A^-1 M``; A, M,
+        ``U = [X, B R]`` gives ``Sigma^-1 U = [Sigma^-1 X, (Sigma^-1 B) R]``,
+        and the same for M^-1, so one product turns SU and MU into the solves
+        of U.  With A, M, u, phi, delta and nu as above (``Sigma = A^-1 M``; A, M,
         K and Sigma commute) and ``D = diag(1, 2, ..., 2, 1)``:
 
         - ``dSigma/dlam1 = K - I`` and ``delta I - A = phi (u D - L)``, so
@@ -398,6 +375,8 @@ class _ExpNuggetPrecision:
         lam1, lam2, u, phi, delta = self.lam1, self.lam2, self.u, self.phi, self.delta
         nu = 1.0 - lam1
         T = len(self.pivots)
+        solves, m = self.solves, len(R) - 2
+        solves[:, :, m:] = solves @ R
         np.matmul(self.MU, K, out=self.MV)
         flat = self.flat
         np.subtract(flat[0, 1:], flat[0, :-1], out=flat[1, :-1])
@@ -430,76 +409,96 @@ def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float]:
     return rho, s2
 
 
-def _ar_precision_solve(B: np.ndarray, coefficients: Sequence[float]):
-    """Structured solve for the stationary AR(p) correlation.
+class _ArPrecision:
+    """``ar``'s structured precision of order p for one T x k right-hand side
+    B, T > p, with :class:`_ExpNuggetPrecision`'s interface; p = 0 is
+    ``iid`` (Sigma = I: SU is B to the bit, and there are no derivatives).
 
-    The density factors into the first p slots (correlation R, selected by
-    E) and one innovation per later slot (rows ``(-a_p, ..., -a_1, 1)`` of
-    the filter F, variance ``s2 = 1 - sum_k a_k rho_k``), so
+    The density factors into the first p slots (their correlation R_p,
+    selected by E) and one innovation per later slot (rows ``(-a_p, ...,
+    -a_1, 1)`` of the filter F, variance ``s2 = 1 - sum_k a_k rho_k``), so
 
-        Sigma^-1 = E' R^-1 E + F'F / s2,
-        log det Sigma = log det R + (T - p) log s2.
+        Sigma^-1 = E' R_p^-1 E + F'F / s2,
+        log det Sigma = log det R_p + (T - p) log s2.
+
+    :meth:`solve` works out the p x p quantities once per point and keeps
+    them, and ``G = F B / s2``, for :meth:`derivatives`.  F and F' run down
+    the column-major ravel of all k columns at once: G's ravel keeps each
+    column's first p rows at 0, which also pads F' where it reaches into the
+    next column, and p zeros pad its end.  Every T x k array is kept from one
+    point to the next.
     """
-    from scipy.linalg import cho_factor, cho_solve
 
-    T = B.shape[0]
-    a = np.asarray(coefficients, dtype=float)
-    p = len(a)
-    rho, s2 = _ar_innovations(a)
-    head = min(p, T)
-    factor = cho_factor(_toeplitz(rho[:head]), lower=True, check_finite=False)
-    out = np.zeros_like(B)
-    out[:head] = cho_solve(factor, B[:head], check_finite=False)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    if T > p:
-        FB = B[p:].copy()
-        for k in range(1, p + 1):
-            FB -= a[k - 1] * B[p - k : T - k]
-        FB /= s2
-        out[p:] += FB
-        for k in range(1, p + 1):
-            out[p - k : T - k] -= a[k - 1] * FB
-        logdet += (T - p) * math.log(s2)
-    return out, logdet
+    def __init__(self, B: np.ndarray, p: int):
+        T, k = B.shape
+        self.B, self.p = B, p
+        self.lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))  # R_p = rho[lags]
+        # Column-major, as B: Sigma^-1 B, U = [X, B R] (X the first k - 2
+        # columns of B) and the T - p rows of G and of G K.
+        self.SU, self.U = B.copy(order="F"), B.copy(order="F")
+        self.g = np.zeros(k * T + p)  # G's ravel, with its zero rows and end
+        self.G = self.g[: k * T].reshape(k, T)[:, p:].T
+        self.GK = np.empty((k, T - p)).T
+        # The p + 1 row windows U[j : j + T - p], as [column, j, row].
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.U.T, T - p, axis=1)
 
+    def solve(self, *a: float) -> float:
+        """Set SU at coefficients a and return log det Sigma.
 
-def _ar_precision_derivatives(U: np.ndarray, V: np.ndarray, coefficients: Sequence[float]):
-    """:meth:`CovarianceModel.precision_derivatives` for ``ar``, T > p.
+        The coefficients enter R_p and s2 through the autocorrelations, which
+        solve ``Y rho = a`` (:func:`_yule_walker`), so ``Y drho/da = R_p``
+        and ``ds2 = -rho_i - sum_k a_k drho_k``.  Raises
+        :class:`NonStationary` for non-stationary coefficients and
+        ``np.linalg.LinAlgError`` where R_p is not positive definite.
+        """
+        B, p, g = self.B, self.p, self.g
+        if not p:  # Sigma = I, and SU holds B from the start
+            return 0.0
+        T, n = len(B), B.size
+        a = np.array(a, dtype=float)
+        rho, s2 = _ar_innovations(a)  # the one stationarity check
+        R = rho[self.lags]
+        L = np.linalg.cholesky(R)
+        R_inv = np.linalg.inv(R)
+        drho = np.linalg.solve(_yule_walker(a), R)  # [k - 1, i - 1] = drho_k / da_i
+        dR = np.vstack([np.zeros(p), drho])[self.lags]  # [r, c, i] = d(R_p)_rc / da_i
+        self.ds2 = -rho[1:] - a @ drho
+        self.N = np.einsum("ab,bci,cd->iad", R_inv, dR, R_inv)  # R_p^-1 dR_p R_p^-1
+        self.dlogdet = np.einsum("rc,cri->i", R_inv, dR) + (T - p) * self.ds2 / s2
+        f = np.append(-a[::-1], 1.0)  # F's rows
+        np.copyto(g[p:n], np.correlate(B.T.reshape(-1), f / s2, "valid"))
+        g[:n].reshape(-1, T)[:, :p] = 0.0
+        np.copyto(self.SU.T.reshape(-1), np.correlate(g, f[::-1], "valid"))
+        self.SU[:p] += R_inv @ B[:p]
+        return 2.0 * float(np.log(L.diagonal()).sum()) + (T - p) * math.log(s2)
 
-    In ``Sigma^-1 = E' R^-1 E + F'F / s2`` (:func:`_ar_precision_solve`) the
-    coefficient a_i enters R and s2 through the autocorrelations, which solve
-    ``Y rho = a`` (:func:`_yule_walker`), so ``Y drho/da = R``; and it enters
-    F as -a_i at lag i.  Hence, banded,
+    def derivatives(self, R: np.ndarray, K: np.ndarray):
+        """``(dlogdet, forms)`` at the point last solved, in the coefficients.
 
-        -dSigma^-1 = E' R^-1 dR R^-1 E - (dF'F + F'dF) / s2 + F'F ds2 / s2^2,
-        d log det Sigma = tr(R^-1 dR) + (T - p) ds2 / s2,
+        F has -a_i at lag i, so ``(dF x)_t = -x_{t-i}`` and, banded,
 
-    with ``ds2 = -rho_i - sum_k a_k drho_k``.
-    """
-    T = V.shape[0]
-    a = np.asarray(coefficients, dtype=float)
-    p = len(a)
-    rho, s2 = _ar_innovations(a)
-    R = _toeplitz(rho[:p])
-    drho = np.linalg.solve(_yule_walker(a), R)  # [k - 1, i - 1] = drho_k / da_i
-    ds2 = -rho[1:] - a @ drho
-    R_inv = np.linalg.inv(R)
-    FV = V[p:].copy()
-    for k in range(1, p + 1):
-        FV -= a[k - 1] * V[p - k : T - k]
-    dlogdet, forms = np.empty(p), np.empty(p)
-    for i in range(1, p + 1):
-        dR = R_inv @ _toeplitz(np.concatenate([[0.0], drho[: p - 1, i - 1]]))
-        dlogdet[i - 1] = np.trace(dR) + (T - p) * ds2[i - 1] / s2
-        NV = np.zeros_like(V)
-        NV[:p] = dR @ (R_inv @ V[:p])
-        G = V[p - i : T - i] / s2 + FV * (ds2[i - 1] / s2**2)
-        NV[p:] += G
-        for k in range(1, p + 1):
-            NV[p - k : T - k] -= a[k - 1] * G
-        NV[p - i : T - i] += FV / s2
-        forms[i - 1] = _dot(U, NV)
-    return dlogdet, forms
+            -dSigma^-1 = E' R_p^-1 dR_p R_p^-1 E - (dF'F + F'dF) / s2
+                         + F'F ds2 / s2^2.
+
+        K is symmetric, so the two middle terms give the same
+        ``<U_{p-i}, F U K> / s2`` for the row window ``U_j = U[j : j + T -
+        p]``.  With ``F U / s2 = [G_X, G R]``, G = F B / s2 from the solve,
+
+            forms_i = <N_i, U_p K U_p'> + 2 <U_{p-i}, F U K / s2>
+                      + <F U / s2, F U K / s2> ds2_i,
+
+        N_i = R_p^-1 dR_p R_p^-1 and U_p the first p rows of U.  One einsum
+        over the windows gives all p + 1 lagged products.
+        """
+        p, m = self.p, len(R) - 2
+        U, G, GK = self.U, self.G, self.GK
+        U[:, m:] = self.B @ R
+        G[:, m:] = G @ R
+        np.matmul(G, K, out=GK)
+        lagged = np.einsum("cjt,ct->j", self.windows, GK.T)  # <U_j, F U K / s2>
+        head = np.einsum("irc,rc->i", self.N, U[:p] @ K @ U[:p].T)
+        forms = head + 2.0 * lagged[p - 1 :: -1] + self.ds2 * _dot(G, GK)
+        return self.dlogdet, forms
 
 
 _COLOR_CHUNK = 64  # rows of X that :func:`_exp_nugget_color` scales at once
@@ -562,7 +561,7 @@ def _ar_color(X: np.ndarray, coefficients: Sequence[float]) -> None:
     """``X <- L X`` in place for T x R ``X``, L the Cholesky factor of the
     stationary AR(p) correlation.
 
-    In the filter F of :func:`_ar_precision_solve` (the first p slots kept,
+    In the filter F of :class:`_ArPrecision` (the first p slots kept,
     then one innovation per slot), ``F Sigma F' = diag(R, s2 I)``, and F^-1
     is unit lower triangular, so ``L = F^-1 diag(chol(R), sqrt(s2) I)``:
     the first p slots get chol(R), the rest ``sqrt(s2) z_t`` plus the AR

@@ -13,12 +13,11 @@ parameters:
 
 Each evaluation of the objective and its score costs one banded solve of
 the m + 2 columns ``[X, y, 1]`` and m x m factorizations: the noise
-precision is banded (:class:`~shufflevar.noise._ExpNuggetPrecision` for
-exp_nugget, :meth:`CovarianceModel.precision_solve` for ar), its
-derivatives reuse that solve's factor
-(:meth:`~shufflevar.noise._ExpNuggetPrecision.derivatives`,
-:meth:`CovarianceModel.precision_derivatives`), and ``XX'`` has rank m, so
-the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
+precision is banded, and one precision object per fit
+(:class:`~shufflevar.noise._ExpNuggetPrecision` for exp_nugget,
+:class:`~shufflevar.noise._ArPrecision` for ar and, at order 0, iid) solves
+and gives the derivatives from what its solve kept, and ``XX'`` has rank
+m, so the Woodbury identity and the determinant lemma reduce ``V`` to an m x m
 problem (the low-rank trick of FaST-LMM).  The score's right-hand columns
 ``X gamma H^-1`` need no second solve of m columns: their solve is the
 first one's times the m x m ``gamma H^-1``, one matrix product.  The score
@@ -55,7 +54,14 @@ import numpy as np
 
 from .design import DesignSchedule, ms_between
 from .estimators import REML_FAMILIES, VarianceEstimate, _finish
-from .noise import CovarianceModel, NonStationary, _ExpNuggetPrecision, _lapack, noise_level
+from .noise import (
+    CovarianceModel,
+    NonStationary,
+    _ArPrecision,
+    _ExpNuggetPrecision,
+    _lapack,
+    noise_level,
+)
 
 _BIG = 1e12
 _MAX_STEP = 10.0
@@ -112,12 +118,9 @@ class _RemlProblem:
         self.B = np.asfortranarray(
             np.column_stack([np.eye(m)[design.stimulus_index], y, np.ones(T)])
         )
-        # exp_nugget solves into the arrays of one _ExpNuggetPrecision; ar
-        # forms U = [X, Sigma u, Sigma a] = [X, B R] (see objective_and_score).
-        self.precision = _ExpNuggetPrecision(self.B) if family == "exp_nugget" else None
-        if self.precision is not None:
-            self.solves = self.precision.work[0, :2].transpose(0, 2, 1)  # SU, MU
-        self.U = self.B.copy(order="F") if family == "ar" else None
+        p = ar_order if family == "ar" else 0  # iid is ar of order 0
+        B = self.B
+        self.precision = _ExpNuggetPrecision(B) if family == "exp_nugget" else _ArPrecision(B, p)
         # R and K of the score, whose blocks are refilled at each point.
         self.R = np.zeros((m + 2, 2))
         self.R[m:] = np.eye(2)
@@ -157,14 +160,10 @@ class _RemlProblem:
         try:
             gamma = math.exp(min(x[0], 40.0))
             theta = self.params(x[1:])
-            if self.precision is not None:
-                logdet_sigma = self.precision.solve(*theta)
-                Z = self.precision.SU
-            else:
-                Z, logdet_sigma = CovarianceModel(self.family, theta).precision_solve(self.B)
+            logdet_sigma = self.precision.solve(*theta)
         except (ArithmeticError, NonStationary, np.linalg.LinAlgError):
             return None
-        m = self.m
+        Z, m = self.precision.SU, self.m
         XtZ = Z[self.order].reshape(self.n, m, m + 2).sum(axis=0)
         np.multiply(XtZ[:, :m], gamma, out=self.H)
         self.H_diag += 1.0
@@ -204,10 +203,9 @@ class _RemlProblem:
         - for a correlation parameter, ``tr(V^-1 dSigma) = d log det Sigma -
           gamma tr(H^-1 X'N X)`` and ``w' dSigma w = (Sigma w)' N (Sigma w)``
           for ``w = a, u``, where ``N = Sigma^-1 dSigma Sigma^-1`` and the
-          three forms come from one call of the derivatives (exp_nugget's
-          :meth:`~shufflevar.noise._ExpNuggetPrecision.derivatives`, else
-          :meth:`CovarianceModel.precision_derivatives`) over the columns of
-          ``U = [X, Sigma u, Sigma a]`` and ``U K`` for the block-diagonal
+          three forms come from one call of the precision object's
+          ``derivatives`` over the columns of ``U = [X, Sigma u, Sigma a]``
+          and ``U K`` for the block-diagonal
           ``K = diag(gamma H^-1, (T - 1) / quad, 1 / s_11)``.
 
         Floating-point warnings are not silenced here; :func:`reml_estimate`
@@ -232,22 +230,14 @@ class _RemlProblem:
         ]
         if len(x) > 1:
             # Sigma u = y - beta 1 - gamma X X'u and Sigma a = 1 - gamma X X'a
-            # are B R for an (m + 2) x 2 R, so U = [X, B R], and the same
-            # product turns the solves of B into those of U.
+            # are B R for an (m + 2) x 2 R, so U = [X, B R].
             R, K = self.R, self.K
             np.multiply(G, -gamma, out=R[:m])
             R[m + 1, 0] = -beta
             np.multiply(H_inv, gamma, out=K[:m, :m])
             K[m, m] = (T - 1) / quad
             K[m + 1, m + 1] = 1.0 / s_11
-            if self.precision is not None:
-                solves = self.solves
-                solves[:, :, m:] = solves @ R
-                dlogdet, forms = self.precision.derivatives(K)
-            else:
-                self.U[:, m:] = self.B @ R
-                model = CovarianceModel(self.family, theta)
-                dlogdet, forms = model.precision_derivatives(self.U, K)
+            dlogdet, forms = self.precision.derivatives(R, K)
             score += [float(d - g) for d, g in zip(dlogdet, forms)]
         if not (math.isfinite(f) and all(map(math.isfinite, score))):
             return _BIG, None
