@@ -245,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "simulate" and args.seed < 0:  # simulate's config checks its own
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

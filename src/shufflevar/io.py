@@ -211,7 +211,11 @@ def parse_permutation(
 def _read_permutation_file(spec: str, path: str, T: int) -> PermutationSpec:
     """The permutation a ``file:PATH`` spec names, checked line by line."""
     entries = []  # (line number, index)
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"permutation {spec!r}: {exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:

@@ -422,11 +422,12 @@ class _ArPrecision:
         log det Sigma = log det R_p + (T - p) log s2.
 
     :meth:`solve` works out the p x p quantities once per point and keeps
-    them, and ``G = F B / s2``, for :meth:`derivatives`.  F and F' run down
-    the column-major ravel of all k columns at once: G's ravel keeps each
-    column's first p rows at 0, which also pads F' where it reaches into the
-    next column, and p zeros pad its end.  Every T x k array is kept from one
-    point to the next.
+    them, and ``G = F B / s2``, for :meth:`derivatives`.  F and F' are one
+    ``np.correlate`` each down the column-major ravel of all k columns: G's
+    ravel keeps each column's first p rows at 0, which also pads F' where it
+    reaches into the next column, and p zeros pad its end.  Apart from the
+    two correlations' results, every T x k array is kept from one point to
+    the next.
     """
 
     def __init__(self, B: np.ndarray, p: int):
@@ -457,14 +458,14 @@ class _ArPrecision:
         T, n = len(B), B.size
         a = np.array(a, dtype=float)
         rho, s2 = _ar_innovations(a)  # the one stationarity check
-        R = rho[self.lags]
-        L = np.linalg.cholesky(R)
-        R_inv = np.linalg.inv(R)
-        drho = np.linalg.solve(_yule_walker(a), R)  # [k - 1, i - 1] = drho_k / da_i
-        dR = np.vstack([np.zeros(p), drho])[self.lags]  # [r, c, i] = d(R_p)_rc / da_i
+        R_p = rho[self.lags]
+        L = np.linalg.cholesky(R_p)
+        R_inv = np.linalg.inv(R_p)
+        drho = np.linalg.solve(_yule_walker(a), R_p)  # [k - 1, i - 1] = drho_k / da_i
+        dR = np.vstack([np.zeros(p), drho]).T[:, self.lags]  # [i, r, c] = d(R_p)_rc / da_i
         self.ds2 = -rho[1:] - a @ drho
-        self.N = np.einsum("ab,bci,cd->iad", R_inv, dR, R_inv)  # R_p^-1 dR_p R_p^-1
-        self.dlogdet = np.einsum("rc,cri->i", R_inv, dR) + (T - p) * self.ds2 / s2
+        self.N = (R_inv @ dR @ R_inv).reshape(p, -1)  # R_p^-1 dR_p R_p^-1, raveled
+        self.dlogdet = dR.reshape(p, -1) @ R_inv.ravel() + (T - p) * self.ds2 / s2
         f = np.append(-a[::-1], 1.0)  # F's rows
         np.copyto(g[p:n], np.correlate(B.T.reshape(-1), f / s2, "valid"))
         g[:n].reshape(-1, T)[:, :p] = 0.0
@@ -496,7 +497,7 @@ class _ArPrecision:
         G[:, m:] = G @ R
         np.matmul(G, K, out=GK)
         lagged = np.einsum("cjt,ct->j", self.windows, GK.T)  # <U_j, F U K / s2>
-        head = np.einsum("irc,rc->i", self.N, U[:p] @ K @ U[:p].T)
+        head = self.N @ (U[:p] @ K @ U[:p].T).ravel()
         forms = head + 2.0 * lagged[p - 1 :: -1] + self.ds2 * _dot(G, GK)
         return self.dlogdet, forms
 

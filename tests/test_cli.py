@@ -149,6 +149,16 @@ class TestEstimate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: permutation 'file:{perm}': {perm}{reason}\n"
 
+    def test_unreadable_permutation_file_names_the_spec(self, dataset, tmp_path, capsys):
+        path, _, _ = dataset
+        perm = tmp_path / "missing.txt"
+        rc = main(["estimate", "-i", str(path), "--permutation", f"file:{perm}",
+                   "-o", str(tmp_path / "est.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: permutation 'file:{perm}': [Errno 2] No such file or directory: '{perm}'\n"
+        )
+
     @pytest.mark.parametrize("spec, shift", [("shift:", "''"), ("shift:x", "'x'")])
     def test_bad_shift_names_the_spec(self, dataset, tmp_path, capsys, spec, shift):
         path, _, _ = dataset
@@ -365,6 +375,26 @@ class TestSimulate:
             SweepConfig(m=8, n=3, sigma2_A_grid=(0.4,), replicates=6, seed=9)
         )
         assert rows == direct.rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "-i", str(GOLDEN_DATASET)],
+        ["estimate", "-i", str(GOLDEN_DATASET), "--permutation", "block-random",
+         "--estimators", "shuffle,reml:iid"],
+        ["alpha", "-i", str(GOLDEN_DATASET), "--permutation", "block-random"],
+        ["diagnose", "-i", str(GOLDEN_DATASET)],
+    ],
+    ids=["estimate", "estimate-seeded", "alpha", "diagnose"],
+)
+def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, argv):
+    # A negative seed used to be echoed unused, or to fail inside numpy with
+    # a message that named neither the flag nor the value.
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--seed", "-1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+    assert not out.exists()
 
 
 def _run_main(argv):

@@ -13,6 +13,7 @@ from shufflevar import (
     sample_experiment,
 )
 from shufflevar.noise import (
+    _ArPrecision,
     _ExpNuggetPrecision,
     _lapack,
     _toeplitz,
@@ -84,6 +85,52 @@ class TestExpNugget:
             np.testing.assert_allclose(precision.SU, np.linalg.solve(Sigma, B), rtol=1e-9)
             np.testing.assert_allclose(precision.MU, np.linalg.solve(M, B), rtol=1e-9)
             assert logdet == pytest.approx(np.linalg.slogdet(Sigma)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        ("iid", [(), ()]),
+        ("exp_nugget", [(0.3, 5.0), (0.95, 2.0), (0.6, 12.0)]),
+        ("ar", [(0.5,), (1.01,), (-0.7,), (0.2,)]),
+        ("ar", [(0.5, 0.2), (1.2, -0.5), (0.5, 0.6), (-0.3, 0.4)]),
+        ("ar", [(0.5, -0.2, 0.1), (0.1, 0.3, 0.4), (0.9, 0.3, -0.1), (-0.6, -0.2, 0.2)]),
+    ],
+)
+def test_precision_object_holds_nothing_from_the_last_point(family, points):
+    # REML's precision objects keep arrays and p x p quantities from one
+    # point to the next.  At each point of one object, the solve must match
+    # the dense Sigma, and the derivatives those of a fresh object solved at
+    # that point alone, also after a non-stationary point was rejected.
+    T, k = 30, 6
+    rng = np.random.default_rng(1)
+    B = np.asfortranarray(rng.standard_normal((T, k)))
+    R, K = rng.standard_normal((k, 2)), rng.standard_normal((k, k))
+    K += K.T
+
+    def fresh():
+        if family == "exp_nugget":
+            return _ExpNuggetPrecision(B)
+        return _ArPrecision(B, len(points[0]))
+
+    precision = fresh()
+    for theta in points:
+        try:
+            Sigma = covariance(CovarianceModel(family, theta), T)
+        except NonStationary:
+            with pytest.raises(NonStationary):
+                precision.solve(*theta)
+            continue
+        logdet = precision.solve(*theta)
+        np.testing.assert_allclose(precision.SU, np.linalg.solve(Sigma, B), rtol=1e-9)
+        assert logdet == pytest.approx(np.linalg.slogdet(Sigma)[1], rel=1e-12)
+        if not theta:  # iid: Sigma = I exactly, and no derivatives
+            assert np.array_equal(precision.SU, B) and logdet == 0.0
+            continue
+        other = fresh()
+        other.solve(*theta)
+        got, want = precision.derivatives(R, K), other.derivatives(R, K)
+        np.testing.assert_array_equal(np.array(got), np.array(want))
 
 
 class TestBlockCovariance:
