@@ -351,8 +351,8 @@ class _ExpNuggetPrecision:
 
         ``U = [X, B R]`` gives ``Sigma^-1 U = [Sigma^-1 X, (Sigma^-1 B) R]``,
         and the same for M^-1, so one product turns SU and MU into the solves
-        of U.  With A, M, u, phi, delta and nu as above (``Sigma = A^-1 M``; A, M,
-        K and Sigma commute) and ``D = diag(1, 2, ..., 2, 1)``:
+        of U.  With A, M, u, phi, delta and nu as above (``Sigma = A^-1 M``;
+        A, M, K and Sigma commute) and ``D = diag(1, 2, ..., 2, 1)``:
 
         - ``dSigma/dlam1 = K - I`` and ``delta I - A = phi (u D - L)``, so
           ``Sigma^-1 (K - I) Sigma^-1 = phi Sigma^-1 (u D - L) M^-1`` and

@@ -96,6 +96,7 @@ class TestExpNugget:
         ("ar", [(0.5, 0.2), (1.2, -0.5), (0.5, 0.6), (-0.3, 0.4)]),
         ("ar", [(0.5, -0.2, 0.1), (0.1, 0.3, 0.4), (0.9, 0.3, -0.1), (-0.6, -0.2, 0.2)]),
     ],
+    ids=["iid", "exp_nugget", "ar1", "ar2", "ar3"],
 )
 def test_precision_object_holds_nothing_from_the_last_point(family, points):
     # REML's precision objects keep arrays and p x p quantities from one
