@@ -436,12 +436,12 @@ class _ArPrecision:
         self.lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))  # R_p = rho[lags]
         # Column-major, as B: Sigma^-1 B, U = [X, B R] (X the first k - 2
         # columns of B) and the T - p rows of G and of G K.
-        self.SU, self.U = B.copy(order="F"), B.copy(order="F")
+        self.SU, self.XBR = B.copy(order="F"), B.copy(order="F")
         self.g = np.zeros(k * T + p)  # G's ravel, with its zero rows and end
         self.G = self.g[: k * T].reshape(k, T)[:, p:].T
         self.GK = np.empty((k, T - p)).T
         # The p + 1 row windows U[j : j + T - p], as [column, j, row].
-        self.windows = np.lib.stride_tricks.sliding_window_view(self.U.T, T - p, axis=1)
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.XBR.T, T - p, axis=1)
 
     def solve(self, *a: float) -> float:
         """Set SU at coefficients a and return log det Sigma.
@@ -492,7 +492,7 @@ class _ArPrecision:
         over the windows gives all p + 1 lagged products.
         """
         p, m = self.p, len(R) - 2
-        U, G, GK = self.U, self.G, self.GK
+        U, G, GK = self.XBR, self.G, self.GK
         U[:, m:] = self.B @ R
         G[:, m:] = G @ R
         np.matmul(G, K, out=GK)
