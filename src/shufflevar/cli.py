@@ -245,8 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "simulate" and args.seed < 0:  # simulate's config checks its own
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        if args.command != "simulate":  # simulate's config checks its own
+            if args.seed < 0:
+                raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+            if args.threads < 1:
+                raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -632,7 +632,7 @@ def _lag_trace(model: CovarianceModel, counts: np.ndarray, n: int) -> float:
     w = counts / (n * T)
     if model.family == "exp_nugget":
         lam1, lam2 = model.params
-        return w[0] * (1.0 - lam1) + lam1 * float(w[1:] @ np.expm1(-np.arange(1, T) / lam2))
+        return float(w[0] * (1.0 - lam1) + lam1 * (w[1:] @ np.expm1(-np.arange(1, T) / lam2)))
     return float(w @ rho)
 
 

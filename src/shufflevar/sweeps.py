@@ -17,6 +17,9 @@ r.  X is the only array of its size: the contrasts work in blocks too, and
 a grid point's X is freed before the next is drawn, so a paper-scale sweep
 (m = 120, n = 15, R = 1000) peaks at about 1.25 X under tracemalloc.  The
 truth of either sweep comes from :func:`~shufflevar.noise.noise_level`.
+The prediction check draws through the same sampler: its design from
+substream (seed, 0), replicate r's population and perturbation from
+(seed, 1, r), and replicate r's noise, with no signal, from (seed, 2, r).
 Everything runs on the calling thread; ``SweepConfig.threads`` is accepted
 but no longer changes how work runs.
 """
@@ -70,7 +73,7 @@ class SweepConfig:
     reml_xatol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals"):
+        for name in ("m", "n", "n_blocks", "replicates", "threads", "reml_starts", "reml_max_evals"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
@@ -281,18 +284,22 @@ class PredictionSummary:
 
 
 def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
-    """Sample population effects, draw a validation sample without
-    replacement, and score the oracle predictor and a perturbed variant."""
+    """Score the oracle predictor, and a perturbed one, on treatment averages.
+
+    The design comes from substream (seed, 0).  Replicate r draws its
+    population, then its perturbation, from (seed, 1, r), and its noise, as
+    column r of :func:`~shufflevar.noise._draw_experiments` at no signal,
+    from (seed, 2, r).
+    """
     if cfg.m > cfg.population_size:
         raise ValueError("sample size exceeds population size")
     design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
     truth = make_truth(cfg.sigma2_A, noise_level(cfg.noise, design, cfg.sigma2_eps))
-    M = cfg.population_size
+    M, m, R = cfg.population_size, cfg.m, cfg.replicates
 
-    effects = np.empty((cfg.replicates, cfg.m))
-    X = np.empty((design.T, cfg.replicates))
-    perturbed = np.empty((cfg.replicates, cfg.m))
-    for r in range(cfg.replicates):
+    effects = np.empty((m, R))
+    perturbed = np.empty((m, R))
+    for r in range(R):
         rng = substream(cfg.seed, 1, r)
         mu = rng.standard_normal(M)
         mu -= mu.mean()
@@ -300,44 +307,33 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
             mu *= np.sqrt(cfg.sigma2_A * (M - 1) / np.sum(mu**2))
         else:
             mu[:] = 0.0
-        sample = rng.choice(M, size=cfg.m, replace=False)
-        effects[r] = mu[sample]
-        X[:, r] = rng.standard_normal(design.T)
-        perturbed[r] = effects[r] + rng.normal(0.0, cfg.perturbation_sd, cfg.m)
-    X *= np.sqrt(cfg.sigma2_eps)
-    cfg.noise.color(X)
-    X += effects.T[design.stimulus_index]
-    averages = treatment_averages(X, design).T
+        # Centring and scaling see the i.i.d. normals only through their mean
+        # and sum of squares, so the population stays exchangeable and its
+        # first m values have the law of a sample drawn without replacement.
+        effects[:, r] = mu[:m]
+        perturbed[:, r] = mu[:m] + rng.normal(0.0, cfg.perturbation_sd, m)
+    noise = _draw_experiments(
+        design, 0.0, cfg.noise, cfg.sigma2_eps, functools.partial(substream, cfg.seed, 2), R
+    )
+    averages = effects + treatment_averages(noise, design)
+    del noise  # T x R, freed before the scores' m x R temporaries
 
-    mspe = np.empty(cfg.replicates)
-    corr2 = np.empty(cfg.replicates)
-    mspe_pert = np.empty(cfg.replicates)
-    for r, (eff, pert, avgs) in enumerate(zip(effects, perturbed, averages)):
-        resid = eff - avgs
-        mspe[r] = np.sum(resid**2) / (cfg.m - 1)
-        if np.std(eff) > 0 and np.std(avgs) > 0:
-            corr2[r] = np.corrcoef(eff, avgs)[0, 1] ** 2
-        else:
-            corr2[r] = 0.0
-        mspe_pert[r] = np.sum((pert - avgs) ** 2) / (cfg.m - 1)
+    mspe = np.sum((effects - averages) ** 2, axis=0) / (m - 1)
+    mspe_pert = np.sum((perturbed - averages) ** 2, axis=0) / (m - 1)
+    effects -= effects.mean(axis=0)
+    averages -= averages.mean(axis=0)
+    s_ee, s_aa = np.sum(effects**2, axis=0), np.sum(averages**2, axis=0)
+    corr2 = np.divide(
+        np.sum(effects * averages, axis=0) ** 2, s_ee * s_aa,
+        out=np.zeros(R), where=(s_ee > 0) & (s_aa > 0),
+    )
 
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
 
-    m_mspe, se_mspe = mean_se(mspe)
-    m_c2, se_c2 = mean_se(corr2)
-    m_p, se_p = mean_se(mspe_pert)
     return PredictionSummary(
-        mean_mspe=m_mspe,
-        se_mspe=se_mspe,
-        mean_corr2=m_c2,
-        se_corr2=se_c2,
-        mean_mspe_perturbed=m_p,
-        se_mspe_perturbed=se_p,
-        noise_level_true=truth.noise_level,
-        omega2_true=truth.omega2,
-        m=cfg.m,
-        replicates=cfg.replicates,
+        *mean_se(mspe), *mean_se(corr2), *mean_se(mspe_pert),
+        noise_level_true=truth.noise_level, omega2_true=truth.omega2, m=m, replicates=R,
     )
 
 

@@ -193,15 +193,19 @@ def test_criterion_5_prediction_bounds():
         perturbation_sd=0.3,
     )
     out = run_prediction_check(cfg)
+    # mspe sums (effect_j - average_j)^2 over the m stimuli and divides by
+    # m - 1 without centring, so under white noise its mean is
+    # m sigma^2 / (n (m - 1)) = level m / (m - 1), not the level itself.
+    centre = out.noise_level_true * out.m / (out.m - 1)
     report(
         [
             f"criterion 5: mspe={out.mean_mspe:.4f}±{out.se_mspe:.4f} "
-            f"level={out.noise_level_true:.4f}",
+            f"level={out.noise_level_true:.4f} centre={centre:.4f}",
             f"criterion 5: corr2={out.mean_corr2:.4f}±{out.se_corr2:.4f} "
             f"omega2={out.omega2_true:.4f}",
         ]
     )
-    assert abs(out.mean_mspe - out.noise_level_true) <= 3 * out.se_mspe
+    assert abs(out.mean_mspe - centre) <= 3 * out.se_mspe
     slack = 1.0 / (out.m - 1) + 3 * out.se_corr2
     assert abs(out.mean_corr2 - out.omega2_true) <= slack
     assert out.mean_mspe_perturbed >= out.mean_mspe

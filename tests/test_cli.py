@@ -397,6 +397,26 @@ def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "-i", str(GOLDEN_DATASET)], "--threads must be at least 1, got -1"),
+        (["alpha", "-i", str(GOLDEN_DATASET)], "--threads must be at least 1, got -1"),
+        (["diagnose", "-i", str(GOLDEN_DATASET)], "--threads must be at least 1, got -1"),
+        (["simulate", "--preset", "block", "--replicates", "2"],
+         "threads must be at least 1, got -1"),
+    ],
+    ids=["estimate", "alpha", "diagnose", "simulate"],
+)
+def test_threads_below_one_exits_1_naming_it(tmp_path, capsys, argv, message):
+    # A negative thread count used to run and be echoed into the output's
+    # provenance.
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--threads", "-1", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _run_main(argv):
     """``main(argv)`` with warnings silenced: its exit status and stderr."""
     err = io.StringIO()

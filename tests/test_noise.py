@@ -249,6 +249,21 @@ class TestNoiseLevel:
         with pytest.raises(ValueError):
             noise_level(CovarianceModel.iid(), d, 1.0, perm=reverse_perm(5))
 
+    @pytest.mark.parametrize(
+        "model",
+        [CovarianceModel.iid(), CovarianceModel.exp_nugget(0.7, 30.0),
+         CovarianceModel.ar([0.5, -0.2]), CovarianceModel.block(0.5, 0.7)],
+        ids=["iid", "exp_nugget", "ar", "block"],
+    )
+    def test_returns_python_float(self, model):
+        # np.float64 is a float subclass, so only the exact type tells;
+        # exp_nugget's used to leak into summaries and REML estimates.
+        d = make_block_schedule(6, 3, 2, np.random.default_rng(2))
+        perm = block_random_perm(d, np.random.default_rng(3))
+        assert type(noise_level(model, d, 1.0)) is float
+        assert type(noise_level(model, d, 1.0, perm)) is float
+        assert type(noise_conservation_gap(model, d, perm)) is float
+
 
 class TestStationaryNoiseLevel:
     """The structured noise level and conservation gap of every family,

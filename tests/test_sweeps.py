@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shufflevar import estimators as est
+from shufflevar import sweeps
 from shufflevar.estimators import run_estimator
 from shufflevar.noise import CovarianceModel, psd_cholesky, sample_experiment, substream
 from shufflevar.permutations import block_random_perm, reverse_perm
@@ -60,7 +61,7 @@ class TestConfig:
             SweepConfig(replicates=0)
 
     @pytest.mark.parametrize(
-        "field", ["m", "n", "n_blocks", "replicates", "reml_starts", "reml_max_evals"]
+        "field", ["m", "n", "n_blocks", "replicates", "threads", "reml_starts", "reml_max_evals"]
     )
     @pytest.mark.parametrize("value", [0, -3])
     def test_counts_below_one_rejected(self, field, value):
@@ -272,6 +273,31 @@ def test_replicates_are_sample_experiment_draws(kind, monkeypatch):
             assert np.array_equal(Y[:, r], sample_experiment(design, s2A, model, sigma2_eps, rng)[0])
 
 
+def test_prediction_noise_is_sample_experiment_draws(monkeypatch):
+    # The prediction check draws its noise through the sweeps' sampler:
+    # column r is the no-signal series that sample_experiment draws from
+    # substream (seed, 2, r), bit for bit.  70 replicates span two blocks
+    # of drawn rows.
+    cfg = PredictionConfig(population_size=30, m=6, n=3, sigma2_eps=1.7,
+                           noise=CovarianceModel.exp_nugget(0.7, 4.0), replicates=70, seed=4)
+    design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
+    seen = []
+    averages = sweeps.treatment_averages
+
+    def spy(Y, *args, **kwargs):
+        seen.append(Y.copy())
+        return averages(Y, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "treatment_averages", spy)
+    run_prediction_check(cfg)
+    [noise] = seen
+    assert noise.shape == (design.T, cfg.replicates)
+    for r in range(cfg.replicates):
+        rng = substream(cfg.seed, 2, r)
+        want = sample_experiment(design, 0.0, cfg.noise, cfg.sigma2_eps, rng)[0]
+        assert np.array_equal(noise[:, r], want)
+
+
 class TestRemlComparison:
     def test_appends_reml(self):
         from dataclasses import replace
@@ -369,6 +395,42 @@ class TestPredictionCheck:
         assert out.noise_level_true == pytest.approx(
             dense_noise_level(cfg.noise, design, cfg.sigma2_eps), rel=1e-12
         )
+
+    @pytest.mark.parametrize("sigma2_A", [0.4, 0.0])
+    def test_scores_match_a_per_replicate_loop(self, sigma2_A, monkeypatch):
+        # The column reductions against per-replicate scoring with
+        # np.corrcoef, from effects redrawn off substream (seed, 1, r) (the
+        # population's first m values, then the perturbation) and the noise
+        # averages the check computed.  Tolerance 1e-12 relative, fixed
+        # before the run; sigma2_A = 0 takes the zero-variance corr2 branch.
+        cfg = PredictionConfig(population_size=30, m=6, n=3, sigma2_A=sigma2_A,
+                               replicates=40, seed=2)
+        noise_averages = []
+        averages = sweeps.treatment_averages
+
+        def spy(*args):
+            noise_averages.append(averages(*args))
+            return noise_averages[-1]
+
+        monkeypatch.setattr(sweeps, "treatment_averages", spy)
+        out = run_prediction_check(cfg)
+        M, m = cfg.population_size, cfg.m
+        mspe, corr2, mspe_pert = [], [], []
+        for r in range(cfg.replicates):
+            rng = substream(cfg.seed, 1, r)
+            mu = rng.standard_normal(M)
+            mu -= mu.mean()
+            mu *= np.sqrt(sigma2_A * (M - 1) / np.sum(mu**2))
+            eff = mu[:m]
+            pert = eff + rng.normal(0.0, cfg.perturbation_sd, m)
+            avgs = eff + noise_averages[0][:, r]
+            mspe.append(np.sum((eff - avgs) ** 2) / (m - 1))
+            corr2.append(np.corrcoef(eff, avgs)[0, 1] ** 2 if np.std(eff) > 0 else 0.0)
+            mspe_pert.append(np.sum((pert - avgs) ** 2) / (m - 1))
+        for got, want in ((out.mean_mspe, mspe), (out.mean_corr2, corr2),
+                          (out.mean_mspe_perturbed, mspe_pert)):
+            assert got == pytest.approx(np.mean(want), rel=1e-12, abs=0.0)
+        assert out.se_corr2 == pytest.approx(np.std(corr2, ddof=1) / np.sqrt(cfg.replicates), rel=1e-12)
 
     @pytest.mark.parametrize(
         "field, value, message",
