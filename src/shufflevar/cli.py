@@ -191,10 +191,15 @@ def cmd_simulate(args) -> int:
         for key in ("replicates", "seed", "threads")
         if getattr(args, key) is not None
     }
-    if overrides:
+    if overrides:  # an override's error is the flag's, not the file's
         cfg = replace(cfg, **overrides)
 
-    result = _runners()[kind](cfg)
+    try:  # an error only the sweep finds (lam1 > 1, m % n_blocks) is the file's
+        result = _runners()[kind](cfg)
+    except ValueError as exc:
+        if not args.config:
+            raise
+        raise ValueError(f"{args.config}: {exc}") from None
     emit_sweep_table(result, args.output or "/dev/stdout")
     return 0
 

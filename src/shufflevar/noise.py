@@ -200,7 +200,9 @@ class _ExpNuggetPrecision:
     ``derivatives(R, K)`` returns ``(dlogdet, forms)`` at ``U = [X, B R]``
     for a k x 2 R and a symmetric k x k K: ``dlogdet[j] = d log det Sigma
     / dx_j`` and ``forms[j] = sum_i U_i' Sigma^-1 (dSigma/dx_j) Sigma^-1
-    W_i`` over the columns of ``W = U K``, x the free parameters.
+    W_i`` over the columns of ``W = U K``, x the free parameters in the
+    optimizer's chart: theta is ``params(x)``, and ``start`` and ``jitter``
+    are the first start's x and the scale of the others' normal jitter.
 
     ``Sigma = (1 - lam1) I + lam1 K``, K the AR(1) correlation at
     ``phi = exp(-1/lam2)``.  With ``u = 1 - phi`` and ``delta = 1 - phi^2``,
@@ -218,6 +220,14 @@ class _ExpNuggetPrecision:
     every T x k array are kept from one point to the next, so a point
     allocates nothing that size.
     """
+
+    start = (0.0, math.log(10.0))
+    jitter = (1.5, 1.0)
+
+    @staticmethod
+    def params(x: Sequence[float]) -> Tuple[float, float]:
+        """``(lam1, lam2)`` at ``x = (logit lam1, log lam2)``."""
+        return (1.0 / (1.0 + math.exp(-x[0])), math.exp(x[1]))
 
     def __init__(self, B: np.ndarray):
         T, k = B.shape
@@ -427,12 +437,13 @@ class _ArPrecision:
     ravel keeps each column's first p rows at 0, which also pads F' where it
     reaches into the next column, and p zeros pad its end.  Apart from the
     two correlations' results, every T x k array is kept from one point to
-    the next.
+    the next.  The optimizer's chart is the coefficients themselves.
     """
 
     def __init__(self, B: np.ndarray, p: int):
         T, k = B.shape
         self.B, self.p = B, p
+        self.start, self.jitter = (0.0,) * p, (0.3,) * p
         self.lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))  # R_p = rho[lags]
         # Column-major, as B: Sigma^-1 B, U = [X, B R] (X the first k - 2
         # columns of B) and the T - p rows of G and of G K.
@@ -442,6 +453,11 @@ class _ArPrecision:
         self.GK = np.empty((k, T - p)).T
         # The p + 1 row windows U[j : j + T - p], as [column, j, row].
         self.windows = np.lib.stride_tricks.sliding_window_view(self.XBR.T, T - p, axis=1)
+
+    @staticmethod
+    def params(x: Sequence[float]) -> Tuple[float, ...]:
+        """The coefficients at x, as floats."""
+        return tuple(float(v) for v in x)
 
     def solve(self, *a: float) -> float:
         """Set SU at coefficients a and return log det Sigma.

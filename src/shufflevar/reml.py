@@ -4,7 +4,7 @@ The model is ``cov(Y) = sigma2_A * XX' + sigma2_eps * Sigma(theta)`` with a
 global intercept as the only fixed effect.  The restricted likelihood is
 profiled over ``sigma2_eps`` and maximized by L-BFGS (Liu & Nocedal 1989)
 on its exact score, over the log variance ratio and the correlation
-parameters:
+parameters, in the chart and from the start their precision object carries:
 
 - ``iid``:         no correlation parameters;
 - ``exp_nugget``:  (lam1, lam2) via logit / log transforms;
@@ -83,29 +83,18 @@ class RemlFit:
     n_starts: int
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-6), 1.0 - 1e-6)
-    return math.log(p / (1.0 - p))
-
-
 class _RemlProblem:
     """Caches design quantities and evaluates the profiled REML objective
     and its score.
 
-    A point ``x`` is ``(log gamma, transformed correlation parameters)``
-    with ``gamma = sigma2_A / sigma2_eps``.  Every array an evaluation
-    writes is kept from one point to the next.
+    A point ``x`` is ``(log gamma, the correlation parameters in the
+    precision object's chart)`` with ``gamma = sigma2_A / sigma2_eps``.
+    Every array an evaluation writes is kept from one point to the next.
     """
 
     def __init__(self, y: np.ndarray, design: DesignSchedule, family: str, ar_order: int):
         lapack = _lapack()
         self.dpotrf, self.dtrtrs = lapack.dpotrf, lapack.dtrtrs
-        self.family = family
-        self.ar_order = ar_order
         T, m = design.T, design.m
         self.T, self.m, self.n = T, m, design.n
         # B = [X, y, 1] with X the T x m stimulus indicator.
@@ -125,16 +114,6 @@ class _RemlProblem:
         # Slots by repeat, then stimulus: X'Z is a sum of n blocks of m rows.
         self.order = design.stimulus_groups().T.ravel()
 
-    def params(self, theta: Sequence[float]) -> Tuple[float, ...]:
-        """The model's correlation parameters at transformed ``theta``."""
-        if self.family == "exp_nugget":
-            return (_sigmoid(theta[0]), math.exp(theta[1]))
-        return tuple(float(v) for v in theta)
-
-    def model(self, theta: Sequence[float]) -> CovarianceModel:
-        """Noise correlation at transformed parameters ``theta``."""
-        return CovarianceModel(self.family, self.params(theta))
-
     def profile(self, x: Sequence[float]):
         """Profile out sigma2_eps at V = Sigma(theta) + gamma XX'.
 
@@ -153,7 +132,7 @@ class _RemlProblem:
         """
         try:
             gamma = math.exp(min(x[0], 40.0))
-            theta = self.params(x[1:])
+            theta = self.precision.params(x[1:])
             logdet_sigma = self.precision.solve(*theta)
         except (ArithmeticError, NonStationary, np.linalg.LinAlgError):
             return None
@@ -174,16 +153,9 @@ class _RemlProblem:
             return None
         return gamma, theta, quad, logdet, s_11, (XtZ, L, W, s_y1 / s_11)
 
-    def objective(self, x: Sequence[float]) -> float:
-        """-2 * profiled restricted log-likelihood, up to an additive constant."""
-        parts = self.profile(x)
-        if parts is None:
-            return _BIG
-        _, _, quad, logdet, s_11, _ = parts
-        return (self.T - 1) * math.log(quad) + logdet + math.log(s_11)
-
     def objective_and_score(self, x: Sequence[float]):
-        """``(objective, its gradient in x as a list)`` from one profile;
+        """``(objective, its gradient in x as a list)`` from one profile, the
+        objective -2 * the profiled restricted log-likelihood up to a constant;
         ``(_BIG, None)`` where the objective or the score is not finite.
 
         With P the REML projection, ``u = P y`` and ``a = V^-1 1``, the
@@ -319,25 +291,12 @@ def _lbfgs(fun, x0, max_evals: int, tol: float, memory: int = 10) -> _Start:
     return _Start(np.array(x), f, True, nfev)
 
 
-def _initial_points(problem: _RemlProblem, msb: float, rng, n_starts):
-    guess = max(msb / 2.0, 1e-3)
-    base_gamma = math.log(guess)
-    if problem.family == "iid":
-        base = [base_gamma]
-        jitter_scale = [1.0]
-    elif problem.family == "exp_nugget":
-        base = [base_gamma, _logit(0.5), math.log(10.0)]
-        jitter_scale = [1.0, 1.5, 1.0]
-    else:  # ar
-        p = problem.ar_order
-        base = [base_gamma] + [0.0] * p
-        jitter_scale = [1.0] + [0.3] * p
-    points = [np.asarray(base, dtype=float)]
-    for _ in range(n_starts - 1):
-        points.append(
-            points[0] + rng.normal(0.0, 1.0, len(base)) * np.asarray(jitter_scale)
-        )
-    return points
+def _initial_points(precision, msb: float, rng, n_starts: int):
+    """The first start at ``gamma = max(msb / 2, 1e-3)`` and the precision
+    object's ``start``; each other adds normal jitter scaled by ``(1, *jitter)``."""
+    base = np.array([math.log(max(msb / 2.0, 1e-3)), *precision.start])
+    scale = np.array([1.0, *precision.jitter])
+    return [base] + [base + rng.normal(0.0, 1.0, len(base)) * scale for _ in range(n_starts - 1)]
 
 
 def reml_estimate(
@@ -393,7 +352,7 @@ def reml_estimate(
     problem = _RemlProblem(vals, design, family, ar_order)
     total = ms_between(vals, design)
     rng = np.random.default_rng(seed)
-    starts = _initial_points(problem, total, rng, n_starts)
+    starts = _initial_points(problem.precision, total, rng, n_starts)
 
     # Points far out overflow and are scored as outside the domain.
     with np.errstate(all="ignore"):

@@ -66,16 +66,17 @@ class SweepConfig:
     sigma2_eps: float = 1.0
     # REML options (see reml_estimate): the optimizer starts, each start's
     # cap on objective-and-score calls, and the convergence tolerance on
-    # the score's largest component
-    reml_family: str = "exp_nugget"
+    # the score's largest component.  Plain ``reml`` fits exp_nugget;
+    # ``reml:<family>`` names another family.
     reml_starts: int = 5
     reml_max_evals: int = 2000
     reml_xatol: float = 1e-8
 
     def __post_init__(self):
         for name in ("m", "n", "n_blocks", "replicates", "threads", "reml_starts", "reml_max_evals"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            least = 2 if name == "m" else 1  # a design needs two stimuli
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # max|g| > nan is False, so a nan tolerance would end every REML
@@ -192,10 +193,7 @@ def _run_grid(
     a = alpha(design, perm)
     level = noise_level(model, design, sigma2_eps)
     reml_options = dict(
-        family=cfg.reml_family,
-        n_starts=cfg.reml_starts,
-        max_evals=cfg.reml_max_evals,
-        xatol=cfg.reml_xatol,
+        n_starts=cfg.reml_starts, max_evals=cfg.reml_max_evals, xatol=cfg.reml_xatol
     )
 
     seeds = range(cfg.replicates)
@@ -260,8 +258,8 @@ class PredictionConfig:
     perturbation_sd: float = 0.3
 
     def __post_init__(self):
-        # Two replicates at least, for the standard errors.
-        for name, least in (("population_size", 1), ("m", 1), ("n", 1), ("replicates", 2)):
+        # Two stimuli, as every design, and two replicates, for the standard errors.
+        for name, least in (("population_size", 1), ("m", 2), ("n", 1), ("replicates", 2)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("sigma2_A", "sigma2_eps", "perturbation_sd"):

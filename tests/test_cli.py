@@ -269,18 +269,18 @@ class TestSimulate:
             "estimators = shuffle, reml:ar\n"
             "sigma2_block = 0.25\nsigma2_unit = 0.5\n"
             "lam1 = 0.3\nlam2 = 12.5\nsigma2_eps = 2\n"
-            "reml_family = iid\nreml_starts = 2\n"
+            "reml_starts = 2\n"
             "reml_max_evals = 150\nreml_xatol = 1e-5\n"
         )
         expected = SweepConfig(
             m=12, n=4, n_blocks=3, sigma2_A_grid=(0.1, 0.3), replicates=7,
             seed=11, threads=2, estimators=("shuffle", "reml:ar"),
             sigma2_block=0.25, sigma2_unit=0.5, lam1=0.3, lam2=12.5,
-            sigma2_eps=2.0, reml_family="iid", reml_starts=2,
+            sigma2_eps=2.0, reml_starts=2,
             reml_max_evals=150, reml_xatol=1e-5,
         )
         default = SweepConfig()
-        assert len(fields(SweepConfig)) == 17
+        assert len(fields(SweepConfig)) == 16
         assert all(
             getattr(expected, f.name) != getattr(default, f.name)
             for f in fields(SweepConfig)
@@ -307,7 +307,9 @@ class TestSimulate:
             ("kind = block\nsigma2_block = inf\n", "error: sigma2_block must be finite"),
             ("kind = reml\nsigma2_A_grid = 0.0, inf\n", "error: sigma2_A_grid must be finite"),
             ("kind = block\nn_blocks = 0\n", "error: n_blocks must be at least 1, got 0"),
-            ("kind = block\nm = -4\n", "error: m must be at least 1, got -4"),
+            ("kind = block\nm = -4\n", "error: m must be at least 2, got -4"),
+            ("kind = timeseries\nm = 1\n", "error: m must be at least 2, got 1"),
+            ("kind = reml\nreml_family = iid\n", "error: unknown key 'reml_family' in [sweep]"),
             ("kind = timeseries\nn = 0\n", "error: n must be at least 1, got 0"),
             ("kind = reml\nreml_starts = 0\n", "error: reml_starts must be at least 1, got 0"),
             ("kind = reml\nreml_xatol = nan\n", "error: reml_xatol must be finite and positive, got nan"),
@@ -332,6 +334,23 @@ class TestSimulate:
         assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
         # the message names the file, as a malformed file's does
         assert message.replace("error: ", f"error: {ini}: ", 1) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("kind = timeseries\nlam1 = 2.0\n", "lam1 must be in [0, 1], got 2.0"),
+            ("kind = reml\nlam2 = 0\n", "lam2 must be positive"),
+            ("kind = block\nm = 4\nn_blocks = 3\n", "m=4 not divisible by n_blocks=3"),
+        ],
+    )
+    def test_error_found_by_the_sweep_names_the_file(self, tmp_path, capsys, body, message):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[sweep]\nreplicates = 2\n" + body)
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", "--config", str(ini), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: ") and message in err
         assert not out.exists()
 
     def test_negative_seed_option_exits_1_naming_seed(self, tmp_path, capsys):
@@ -405,8 +424,11 @@ def test_negative_seed_exits_1_naming_the_flag(tmp_path, capsys, argv):
         (["diagnose", "-i", str(GOLDEN_DATASET)], "--threads must be at least 1, got -1"),
         (["simulate", "--preset", "block", "--replicates", "2"],
          "threads must be at least 1, got -1"),
+        # an override's error names the value, not the config file
+        (["simulate", "--config", str(GOLDEN_DATASET.with_name("golden_block.ini"))],
+         "threads must be at least 1, got -1"),
     ],
-    ids=["estimate", "alpha", "diagnose", "simulate"],
+    ids=["estimate", "alpha", "diagnose", "simulate", "simulate-config"],
 )
 def test_threads_below_one_exits_1_naming_it(tmp_path, capsys, argv, message):
     # A negative thread count used to run and be echoed into the output's

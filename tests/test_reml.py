@@ -19,7 +19,7 @@ from shufflevar import (
     sample_experiment,
 )
 from shufflevar import reml as reml_module
-from shufflevar.noise import NonStationary, substream
+from shufflevar.noise import NonStationary, _ExpNuggetPrecision, substream
 from shufflevar.reml import _BIG, _RemlProblem
 from shufflevar.sweeps import make_random_schedule
 
@@ -38,16 +38,17 @@ def dense_gram(V, y):
     return 2.0 * float(np.sum(np.log(np.diag(L)))), W.T @ W
 
 
-def dense_objective(problem, design, y, x):
+def dense_objective(problem, family, design, y, x):
     """The profiled REML objective from a dense T x T V = Sigma + gamma XX'.
 
-    The oracle for ``_RemlProblem.objective``: inf where Sigma is
+    The oracle for the objective of ``_RemlProblem.objective_and_score``
+    (``family`` that of ``problem``): inf where Sigma is
     non-stationary, V is not positive definite or the quadratic form is not
     positive.
     """
     gamma = math.exp(min(x[0], 40.0))
     try:
-        Sigma = problem.model(x[1:]).materialize(design)
+        Sigma = CovarianceModel(family, problem.precision.params(x[1:])).materialize(design)
     except NonStationary:
         return math.inf
     try:
@@ -105,8 +106,8 @@ class TestStructuredObjective:
         rng = np.random.default_rng(order)
         n_inf = 0
         for x in self._points(family, order, rng):
-            want = dense_objective(problem, d, y, x)
-            got = problem.objective(x)
+            want = dense_objective(problem, family, d, y, x)
+            got = problem.objective_and_score(x)[0]
             if math.isinf(want):
                 assert got == _BIG, x
                 n_inf += 1
@@ -165,12 +166,13 @@ class TestScore:
             f, score = problem.objective_and_score(x)
             if f >= _BIG:
                 continue
-            assert f == problem.objective(x)
             fd = np.empty(len(x))
             for j in range(len(x)):
                 step = np.zeros(len(x))
                 step[j] = self.H
-                ends = [dense_objective(problem, d, y, x + sign * step) for sign in (1, -1)]
+                ends = [
+                    dense_objective(problem, family, d, y, x + sign * step) for sign in (1, -1)
+                ]
                 fd[j] = (ends[0] - ends[1]) / (2 * self.H)
             if not np.all(np.isfinite(fd)):
                 continue  # a step left the stationary region
@@ -189,7 +191,7 @@ class TestScore:
         d, y = data
         problem = _RemlProblem(y, d, "exp_nugget", 1)
         assert problem.objective_and_score(np.array(x)) == (_BIG, None)
-        assert problem.objective(np.array(x)) == _BIG
+        assert problem.objective_and_score(np.array(x))[0] == _BIG
 
 
 # Evaluates the objective and score at paper scale (T = 1800, m = 120) and
@@ -461,7 +463,7 @@ class TestConvergedTie:
         )
 
     def _theta_at(self, x):
-        return (reml_module._sigmoid(x[1]), math.exp(x[2]))
+        return _ExpNuggetPrecision.params(x[1:])
 
     def test_one_ulp_tie_reports_the_converged_start(self, monkeypatch, small_design):
         fit, est = self._fit(monkeypatch, small_design, gap=1.1368683772161603e-13)

@@ -65,8 +65,13 @@ class TestConfig:
     )
     @pytest.mark.parametrize("value", [0, -3])
     def test_counts_below_one_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+        least = 2 if field == "m" else 1  # a design needs two stimuli
+        with pytest.raises(ValueError, match=f"{field} must be at least {least}, got {value}"):
             SweepConfig(**{field: value})
+
+    def test_one_stimulus_rejected(self):
+        with pytest.raises(ValueError, match="m must be at least 2, got 1"):
+            SweepConfig(m=1)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
@@ -319,16 +324,17 @@ class TestRemlComparison:
         from dataclasses import astuple, replace
 
         cfg = replace(SMALL_TS, replicates=3, reml_starts=1, reml_max_evals=300)
-        named = run_timeseries_sweep(replace(cfg, estimators=("reml:iid",)))
-        plain = run_timeseries_sweep(
-            replace(cfg, estimators=("reml",), reml_family="iid")
-        )
-        assert [r.estimator for r in named.rows] == ["reml:iid"] * 2
-        # equal apart from the estimator name; NaN cells compare equal here
+        iid = run_timeseries_sweep(replace(cfg, estimators=("reml:iid",)))
+        assert [r.estimator for r in iid.rows] == ["reml:iid"] * 2
+        # Plain reml fits exp_nugget, as estimate does: equal apart from the
+        # estimator name (NaN cells compare equal here), and not iid.
+        named = run_timeseries_sweep(replace(cfg, estimators=("reml:exp_nugget",)))
+        plain = run_timeseries_sweep(replace(cfg, estimators=("reml",)))
         np.testing.assert_equal(
             [astuple(replace(r, estimator="reml")) for r in named.rows],
             [astuple(r) for r in plain.rows],
         )
+        assert [r.mean_sigma2_A for r in iid.rows] != [r.mean_sigma2_A for r in plain.rows]
 
     def test_non_converged_fits_left_out_of_summary(self):
         # Five objective-and-score calls cannot finish an exp-nugget L-BFGS
@@ -436,7 +442,8 @@ class TestPredictionCheck:
         "field, value, message",
         [
             ("population_size", 0, "population_size must be at least 1, got 0"),
-            ("m", 0, "m must be at least 1, got 0"),
+            ("m", 0, "m must be at least 2, got 0"),
+            ("m", 1, "m must be at least 2, got 1"),
             ("n", -2, "n must be at least 1, got -2"),
             ("replicates", 1, "replicates must be at least 2, got 1"),
             ("sigma2_A", -0.1, "sigma2_A must be finite and nonnegative, got -0.1"),
