@@ -7,14 +7,19 @@ provenance comments and are skipped, as are blank lines.  In memory a
 dataset is its design, the series names and a T x S matrix with one column
 per series.
 
-Grammar (numpy's C tokenizer, one ``np.loadtxt`` call over the data lines):
-one record per line, fields separated by ``,``.  A field may be quoted with
-``"``, a quote inside it doubled (``""``), as the csv module writes it; a
-quoted field must close on its line.  Labels are kept as written, spaces
-included; header names are stripped.  Numbers are ASCII: whitespace around
-them is allowed, underscores (``1_0``) and non-ASCII digits are rejected.
+Grammar (numpy's C tokenizer, ``np.loadtxt``): one record per line, fields
+separated by ``,``.  A field may be quoted with ``"``, a quote inside it
+doubled (``""``), as the csv module writes it; a quoted field must close on
+its line.  Labels are kept as written, spaces included; header names are
+stripped.  Numbers are ASCII: whitespace around them is allowed,
+underscores (``1_0``) and non-ASCII digits are rejected.
 ``nan`` and ``inf`` parse but are rejected as non-finite.  Every row error
 names its file line as ``path:line: reason``.
+
+``np.loadtxt`` reads ``t`` and the labels.  orjson, whose decimal-to-double
+conversion is correctly rounded like Python's, reads the numbers of each
+line it can read exactly as ``np.loadtxt`` would; every other line, and
+every error, goes through ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -84,6 +89,88 @@ def _check_rows(path, rows, row: np.dtype, n_fields: int) -> None:
             raise DatasetFormatError(f"{path}:{lineno}: {reason}") from None
 
 
+# What orjson may read in a line's numbers: the bytes of JSON numbers, the
+# commas between them and the whitespace both parsers skip around a number.
+_NUMBER_BYTES = b"0123456789.eE+-, \t\r\n"
+
+
+def _table(lines, dtype: np.dtype) -> np.ndarray:
+    """One record per line; ValueError if a quoted field runs over a line break."""
+    table = _loadtxt(lines, dtype) if lines else np.empty(0, dtype)
+    if len(table) != len(lines):
+        raise ValueError("a quoted field runs over a line break")
+    return table
+
+
+def _whole_file_table(path, rows, row: np.dtype, n_fields: int) -> np.ndarray:
+    """All data lines in one ``np.loadtxt`` call; if that fails, the error of
+    the first faulty line."""
+    try:
+        return _table([line for _, line in rows], row)
+    except ValueError as exc:
+        _check_rows(path, rows, row, n_fields)
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
+def _parse_rows(path, rows, row: np.dtype, n_fields: int):
+    """``t``, the labels and the T x S values of the data lines, in file order.
+
+    orjson reads the numbers of a line straight into its row of the values
+    when the line has no quote and its numbers are plain JSON numbers.  Any
+    other line keeps to ``np.loadtxt``: orjson rejects ``.5``, ``+1``, an
+    empty field and an overflow, and reads an integer ``-0`` as ``0``.
+    ``t`` and the labels come from one ``np.loadtxt`` call over the first
+    fields of the lines orjson read, and one over the other lines whole.  If
+    either fails, the whole-file parse runs and raises its error.
+    """
+    import orjson  # not at module level: it adds about 9 ms to start-up
+
+    T, S = len(rows), row["y"].shape[0]
+    k = n_fields - S  # t and the labels
+    y = np.zeros((T, S))  # zeros, not empty: the -0 check compares every row
+    heads = [None] * T  # the first k fields of each line orjson read
+    for i, (_, line) in enumerate(rows):
+        if '"' in line:
+            continue
+        fields = line.split(",", k)
+        if len(fields) <= k:
+            continue
+        numbers = fields[k]
+        text = numbers.encode()
+        if text.translate(None, _NUMBER_BYTES):
+            continue
+        try:
+            values = orjson.loads(b"[" + text + b"]")
+        except orjson.JSONDecodeError:
+            continue
+        if len(values) == S:
+            y[i] = values
+            heads[i] = line[: len(line) - len(numbers) - 1]
+    fast = np.array([head is not None for head in heads], dtype=bool)
+    # orjson reads an integer -0 as 0; such a line is left to np.loadtxt.
+    for i in np.flatnonzero(fast & (y == 0).any(axis=1)):
+        if any(f.strip() == "-0" for f in rows[i][1].split(",")[k:]):
+            fast[i] = False
+    fast_rows, slow_rows = np.flatnonzero(fast), np.flatnonzero(~fast)
+    # A quote left open on the last of the other lines runs into this line,
+    # as it would run into the next line of the file.
+    closing = ",".join(["1"] + [""] * (k - 1) + ["0"] * S)
+    try:
+        head = _table(
+            [heads[i] for i in fast_rows],
+            np.dtype([("t", np.int64), ("labels", object, (k - 1,))]),
+        )
+        whole = _table([rows[i][1] for i in slow_rows] + [closing], row)[:-1]
+    except ValueError:
+        table = _whole_file_table(path, rows, row, n_fields)
+        return table["t"], table["labels"], table["y"]
+    t = np.empty(T, np.int64)
+    labels = np.empty((T, k - 1), object)
+    t[fast_rows], labels[fast_rows] = head["t"], head["labels"]
+    t[slow_rows], labels[slow_rows], y[slow_rows] = whole["t"], whole["labels"], whole["y"]
+    return t, labels, y
+
+
 def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
     """Parse a dataset CSV into its design, series names and T x S values."""
     try:
@@ -121,15 +208,7 @@ def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
         ("labels", object, (first_series - 1,)),
         ("y", np.float64, (len(series_names),)),
     ])
-    try:
-        table = _loadtxt([line for _, line in rows], row)
-        if len(table) != len(rows):
-            raise ValueError("a quoted field runs over a line break")
-    except ValueError as exc:
-        _check_rows(path, rows, row, len(header))
-        raise DatasetFormatError(f"{path}: {exc}") from None
-
-    t = table["t"]
+    t, labels, y = _parse_rows(path, rows, row, len(header))
     T = len(t)
     order = np.argsort(t, kind="stable")
     if not np.array_equal(t[order], np.arange(1, T + 1)):
@@ -141,16 +220,16 @@ def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
                     f"{path}:{lineno}: t column must be a permutation of 1..{T}, got t={ti}"
                 )
             seen.add(ti)
-    labels = table["labels"][order]
+    labels = labels[order]
     design = build_design(
         labels[:, 0].tolist(), labels[:, 1].tolist() if has_block else None
     )
-    finite = np.isfinite(table["y"]).all(axis=1)
+    finite = np.isfinite(y).all(axis=1)
     if not finite.all():
         raise DatasetFormatError(
             f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite value"
         )
-    return design, series_names, table["y"][order]
+    return design, series_names, y[order]
 
 
 def write_dataset(

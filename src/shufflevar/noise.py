@@ -55,12 +55,17 @@ def _check_block(design: DesignSchedule, sigma2_block: float, sigma2_unit: float
 
 def ar_autocorrelations(coefficients: Sequence[float], n_lags: int) -> np.ndarray:
     """Autocorrelations rho_0..rho_{n_lags-1} of a stationary AR process."""
-    a = np.asarray(coefficients, dtype=float)
+    return _ar_autocorrelations(np.asarray(coefficients, dtype=float), n_lags)[0]
+
+
+def _ar_autocorrelations(a: np.ndarray, n_lags: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`ar_autocorrelations` and the :func:`_yule_walker` matrix its
+    rho_1..rho_p solve."""
     p = len(a)
     rho = np.zeros(max(n_lags, p + 1))
     rho[0] = 1.0
     if p == 0:
-        return rho[:n_lags]
+        return rho[:n_lags], np.eye(0)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"AR coefficients must be finite, got {a.tolist()}")
 
@@ -71,10 +76,11 @@ def ar_autocorrelations(coefficients: Sequence[float], n_lags: int) -> np.ndarra
     if np.abs(np.linalg.eigvals(companion)).max() >= 1.0:
         raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
 
-    rho[1 : p + 1] = np.linalg.solve(_yule_walker(a), a)
+    Y = _yule_walker(a)
+    rho[1 : p + 1] = np.linalg.solve(Y, a)
     for k in range(p + 1, len(rho)):
         rho[k] = np.dot(a, rho[k - p : k][::-1])
-    return rho[:n_lags]
+    return rho[:n_lags], Y
 
 
 def _yule_walker(a: np.ndarray) -> np.ndarray:
@@ -409,14 +415,15 @@ class _ExpNuggetPrecision:
         return dlogdet, forms
 
 
-def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``rho_0..rho_p`` and the innovation variance ``s2 = 1 - sum_k a_k rho_k``
-    of stationary AR coefficients a; :class:`NonStationary` unless s2 > 0."""
-    rho = ar_autocorrelations(a, len(a) + 1)
+def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
+    """``rho_0..rho_p``, the innovation variance ``s2 = 1 - sum_k a_k rho_k``
+    and the :func:`_yule_walker` matrix of stationary AR coefficients a;
+    :class:`NonStationary` unless s2 > 0."""
+    rho, Y = _ar_autocorrelations(a, len(a) + 1)
     s2 = 1.0 - float(a @ rho[1:])
     if not s2 > 0:
         raise NonStationary(f"AR coefficients {a.tolist()} are not stationary")
-    return rho, s2
+    return rho, s2, Y
 
 
 class _ArPrecision:
@@ -473,11 +480,11 @@ class _ArPrecision:
             return 0.0
         T, n = len(B), B.size
         a = np.array(a, dtype=float)
-        rho, s2 = _ar_innovations(a)  # the one stationarity check
+        rho, s2, Y = _ar_innovations(a)  # the one stationarity check
         R_p = rho[self.lags]
         L = np.linalg.cholesky(R_p)
         R_inv = np.linalg.inv(R_p)
-        drho = np.linalg.solve(_yule_walker(a), R_p)  # [k - 1, i - 1] = drho_k / da_i
+        drho = np.linalg.solve(Y, R_p)  # [k - 1, i - 1] = drho_k / da_i
         dR = np.vstack([np.zeros(p), drho]).T[:, self.lags]  # [i, r, c] = d(R_p)_rc / da_i
         self.ds2 = -rho[1:] - a @ drho
         self.N = (R_inv @ dR @ R_inv).reshape(p, -1)  # R_p^-1 dR_p R_p^-1, raveled
@@ -587,7 +594,7 @@ def _ar_color(X: np.ndarray, coefficients: Sequence[float]) -> None:
     T = X.shape[0]
     a = np.asarray(coefficients, dtype=float)
     p = len(a)
-    rho, s2 = _ar_innovations(a)
+    rho, s2, _ = _ar_innovations(a)
     head = min(p, T)
     X[:head] = np.linalg.cholesky(_toeplitz(rho[:head])) @ X[:head]
     X[p:] *= math.sqrt(s2)

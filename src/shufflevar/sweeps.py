@@ -269,6 +269,19 @@ class PredictionConfig:
 
 @dataclass(frozen=True)
 class PredictionSummary:
+    """Means and standard errors over replicates of the oracle predictor's
+    MSPE and squared correlation against the treatment averages, and of the
+    perturbed predictor's MSPE, beside the design's analytic truths.
+
+    ``noise_level_true`` is the noise level, not the centre of
+    ``mean_mspe``.  The MSPE is not centred, so its mean is
+    ``sum_j Var(noise average j) / (m - 1)``, which equals
+    ``noise_level_true * m / (m - 1)`` under white noise only: correlated
+    noise adds the variance of the global noise average.  At
+    exp_nugget(0.7, 30) with m = 10 and n = 3, that mean is 0.727 and
+    ``noise_level_true`` 0.144.
+    """
+
     mean_mspe: float
     se_mspe: float
     mean_corr2: float

@@ -3,12 +3,14 @@ import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shufflevar.io as sio
 from shufflevar import build_design
 from shufflevar.cli import main
 from shufflevar.design import DesignError
@@ -118,6 +120,8 @@ ROW_FAULTS = {
     "nan": ("2,b,x,nan,2.0", "non-finite value"),
     "underscore-digits": ("2,b,x,1_0,2.0", "could not convert string '1_0'"),
     "non-ascii-digit": ("2,b,x,\u0661,2.0", "could not convert string"),
+    # The quote runs into the next line, though this line alone parses.
+    "unclosed-quote-last-field": ('2,b,x,-0.25,"2.0', "quoted field not closed on its line"),
 }
 
 
@@ -304,3 +308,120 @@ class TestFuzzDataset:
                 pass  # no other error, numpy's included, escapes
             rc = main(["estimate", "-i", str(path), "-o", str(Path(tmp) / "est.csv")])
             assert rc in (0, 1)
+
+
+def loadtxt_parse(path, rows, row, n_fields):
+    """The parse without orjson: one ``np.loadtxt`` over all data lines with
+    the row dtype, and ``_check_rows`` for its errors."""
+    try:
+        table = sio._loadtxt([line for _, line in rows], row)
+        if len(table) != len(rows):
+            raise ValueError("a quoted field runs over a line break")
+    except ValueError as exc:
+        sio._check_rows(path, rows, row, n_fields)
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    return table["t"], table["labels"], table["y"]
+
+
+def read_outcome(path):
+    """What ``read_dataset`` gives: labels, blocks, names and the values'
+    bytes, or the type and text of its error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            design, names, Y = read_dataset(path)
+    except (DatasetFormatError, DesignError) as exc:
+        return type(exc).__name__, str(exc)
+    blocks = list(design.block_labels) if design.has_blocks else None
+    return list(design.labels), blocks, names, Y.shape, Y.tobytes()
+
+
+def assert_parse_matches_loadtxt(text, newline=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline=newline)
+        got = read_outcome(path)
+        with mock.patch.object(sio, "_parse_rows", loadtxt_parse):
+            want = read_outcome(path)
+    assert got == want
+
+
+# One row per spelling of a number; a naive fast reader fails the "-0" row.
+SPELLINGS = {
+    "int-minus-zero": "-0",
+    "float-minus-zero": "-0.0",
+    "underflow": "1e-400",
+    "negative-underflow": "-1e-400",
+    "min-subnormal": "5e-324",
+    "subnormal-halfway": "2.4703282292062328e-324",
+    "17-digits": "0.10000000000000001",
+    "25-digits": "1.234567890123456789012345",
+    "halfway-decimal": "1.00000000000000011102230246251565404236316680908203125",
+    "int-2**53+1": "9007199254740993",
+    "int-above-u64": "18446744073709551617",
+    "overflow": "1e309",
+    "leading-point": ".5",
+    "trailing-point": "5.",
+    "plus-sign": "+1",
+    "underscore": "1_0",
+    "arabic-digit": "\u0661",
+    "nan": "nan",
+    "inf": "inf",
+    "true": "true",
+    "null": "null",
+    "quoted": '"1.5"',
+    "empty": "",
+    "spaces-and-tabs": " \t1.5 \t",
+}
+
+
+def spelled_file(spelling, ending="\n"):
+    """GOOD with ``spelling`` as v1 of the second data row and v2 of the last."""
+    lines = [GOOD[0], GOOD[1], f"2,b,x,{spelling},2.0", GOOD[3], f"4,b,y,2.5,{spelling}"]
+    return ending.join(lines) + ending
+
+
+class TestAgainstLoadtxtParse:
+    @pytest.mark.parametrize("spelling", SPELLINGS.values(), ids=SPELLINGS.keys())
+    def test_spelling(self, spelling):
+        assert_parse_matches_loadtxt(spelled_file(spelling), newline="")
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ending(self, ending):
+        assert_parse_matches_loadtxt(spelled_file("-0.5", ending), newline="")
+
+    @pytest.mark.parametrize("row", [1, 2, 3, 4])
+    def test_quote_left_open_in_a_label(self, row):
+        lines = list(GOOD)
+        t, stimulus, block, *values = lines[row].split(",")
+        lines[row] = ",".join([t, stimulus, '"' + block, *values])
+        assert_parse_matches_loadtxt("\n".join(lines) + "\n")
+
+    def test_quoted_labels(self):
+        text = '# note\nt,stimulus,block,v1\n1,"a,1",x,0.5\n2,b,"x ""y""",-0\n3,"a,1",x,1e-3\n4,b,"x ""y""",2\n'
+        assert_parse_matches_loadtxt(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_written_dataset())
+    def test_csv_written(self, text):
+        assert_parse_matches_loadtxt(text, newline="")
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_dataset())
+    def test_mutated(self, text):
+        assert_parse_matches_loadtxt(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mixed_spellings(self, data):
+        """Plain and quoted lines mixed, each value a table spelling or a
+        float's repr, under each line ending."""
+        value = st.one_of(st.sampled_from(list(SPELLINGS.values())), st.floats().map(repr))
+        lines = [GOOD[0]]
+        for line in GOOD[1:]:
+            t, stimulus, block, *_ = line.split(",")
+            if data.draw(st.booleans()):
+                stimulus = f'"{stimulus}"'
+            lines.append(",".join([t, stimulus, block, data.draw(value), data.draw(value)]))
+        ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        assert_parse_matches_loadtxt(ending.join(lines) + ending, newline="")
