@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from dataclasses import fields, replace
 
@@ -204,7 +205,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves it as it is.  A parser is a reference cycle that
+    only the garbage collector frees, and a sweep allocates too few objects
+    to run it often, so one parser per :func:`main` call would pile up
+    across calls.
+    """
     parser = argparse.ArgumentParser(
         prog="shufflevar",
         description="Signal-variance and explainable-variance estimation "

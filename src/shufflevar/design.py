@@ -194,15 +194,8 @@ def ms_between(y, design: DesignSchedule, shuffle=None):
     (a permutation's mapping) it is the contrast of ``y[shuffle]``, bit for
     bit, with no shuffled copy of ``y``.
     """
-    # One contiguous row per series, so each reduces as a 1-D series would.
-    A = np.ascontiguousarray(treatment_averages(_columns(y, design), design, shuffle).T)
-    A -= A.mean(axis=1, keepdims=True)
-    out = np.sum(A**2, axis=1) / (design.m - 1)
+    out = _between(_row_averages(_columns(y, design), design, shuffle), design)
     return float(out[0]) if np.ndim(y) == 1 else out
-
-
-# Series whose within-treatment residuals :func:`ms_within` holds at once.
-_RESIDUAL_BLOCK = 64
 
 
 def ms_within(y, design: DesignSchedule):
@@ -211,20 +204,64 @@ def ms_within(y, design: DesignSchedule):
     Unbiased for the per-measurement noise variance when the noise is
     uncorrelated within treatments.
     """
+    out = mean_squares(y, design, within=True)[2]
+    return float(out[0]) if np.ndim(y) == 1 else out
+
+
+def mean_squares(y, design: DesignSchedule, shuffle=None, within: bool = False):
+    """``(ms_between(y), ms_between(y, shuffle), ms_within(y))`` from one pass
+    over the columns of ``y``, as arrays; the second is None without a
+    ``shuffle`` and the third None unless ``within``.
+
+    The treatment averages are formed once for the first and third, and
+    once under the shuffle for the second.  Each value is that of the
+    function named, bit for bit.
+    """
+    if within:
+        check_replicated(design)
+    Y = _columns(y, design)
+    A = _row_averages(Y, design)
+    mw = _within(Y, A, design) if within else None
+    total = _between(A, design)
+    del A
+    shuffled = None if shuffle is None else _between(_row_averages(Y, design, shuffle), design)
+    return total, shuffled, mw
+
+
+def check_replicated(design: DesignSchedule) -> None:
+    """Raise :class:`NoReplication` unless each stimulus repeats."""
     if design.n < 2:
         raise NoReplication("within-treatment contrast needs n >= 2")
-    Y = _columns(y, design)
-    avgs = np.ascontiguousarray(treatment_averages(Y, design).T)
+
+
+def _row_averages(Y: np.ndarray, design: DesignSchedule, shuffle=None) -> np.ndarray:
+    """The S x m treatment averages of T x S ``Y``, one contiguous row per
+    series, so each reduces as a 1-D series would."""
+    return np.ascontiguousarray(treatment_averages(Y, design, shuffle).T)
+
+
+def _between(A: np.ndarray, design: DesignSchedule) -> np.ndarray:
+    """ms_between of each row of averages ``A``, which it overwrites."""
+    A -= A.mean(axis=1, keepdims=True)
+    np.square(A, out=A)
+    return np.sum(A, axis=1) / (design.m - 1)
+
+
+# Series whose within-treatment residuals :func:`_within` holds at once.
+_RESIDUAL_BLOCK = 64
+
+
+def _within(Y: np.ndarray, A: np.ndarray, design: DesignSchedule) -> np.ndarray:
+    """ms_within of each column of ``Y``, from its row of averages ``A``."""
     # Residuals of a block of series at a time, one contiguous row per series.
-    sums = np.empty(len(avgs))
-    resid = np.empty((min(_RESIDUAL_BLOCK, len(avgs)), design.T))
-    for j in range(0, len(avgs), _RESIDUAL_BLOCK):
-        part = resid[: min(_RESIDUAL_BLOCK, len(avgs) - j)]
+    sums = np.empty(len(A))
+    resid = np.empty((min(_RESIDUAL_BLOCK, len(A)), design.T))
+    for j in range(0, len(A), _RESIDUAL_BLOCK):
+        part = resid[: min(_RESIDUAL_BLOCK, len(A) - j)]
         cols = slice(j, j + len(part))
         # mode="clip" (the indices are valid) writes to out without a buffer.
-        np.take(avgs[cols], design.stimulus_index, axis=1, out=part, mode="clip")
+        np.take(A[cols], design.stimulus_index, axis=1, out=part, mode="clip")
         np.subtract(Y[:, cols].T, part, out=part)
         np.square(part, out=part)
         np.sum(part, axis=1, out=sums[cols])
-    out = sums / (design.m * (design.n - 1))
-    return float(out[0]) if np.ndim(y) == 1 else out
+    return sums / (design.m * (design.n - 1))

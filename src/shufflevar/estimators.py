@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import permutations as perms
-from .design import DesignSchedule, _columns, ms_between, ms_within
+from .design import DesignSchedule, _columns, check_replicated, mean_squares
+from .design import ms_between, ms_within  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .permutations import PermutationSpec
 
 # Noise families REML can fit, and the names :func:`run_estimator` accepts.
@@ -87,6 +88,69 @@ def _finish(
     )
 
 
+def _clamp(raw: np.ndarray, total: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sigma2_A, omega2)`` arrays that :func:`_finish` gives one value at
+    a time: ``max(0.0, raw)`` and ``min(1.0, sigma2_A / total)``, 0 where
+    ``total > 0.0`` fails.  ``np.where`` on the same comparisons keeps
+    Python's choices on +-0 and nan."""
+    clamped = np.where(raw > 0.0, raw, 0.0)
+    q = np.zeros(np.shape(clamped))
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python's float division
+        np.divide(clamped, total, out=q, where=total > 0.0)
+    return clamped, np.where(q < 1.0, q, 1.0)
+
+
+class Contrasts(NamedTuple):
+    """Per-series arrays from :func:`contrast_pass`; an estimator not asked
+    for leaves its fields None."""
+
+    total: np.ndarray
+    shuffle_raw: Optional[np.ndarray]
+    alpha: Optional[float]
+    mom_noise: Optional[np.ndarray]
+
+
+def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
+    """Those of shuffle (under ``perm``) and MoM that ``names`` lists, on each
+    column of ``Y`` (a series or a T x S matrix), from one
+    :func:`~shufflevar.design.mean_squares` pass; other names are ignored.
+
+    ``total`` is the between contrast, ``shuffle_raw`` the shuffle's raw
+    signal variance ``(total - MS_bet(PY)) / (1 - alpha)`` and ``mom_noise``
+    MoM's noise level ``MS_wit / n``, whose raw signal variance is ``total -
+    mom_noise``.  Each estimator's check runs in the order ``names`` gives.
+
+    Raises
+    ------
+    TrivialPermutation
+        For shuffle, if ``perm`` is trivial (:func:`~shufflevar.permutations.is_trivial`).
+    NoReplication
+        For MoM, if every stimulus appears once.
+    """
+    a = None
+    for name in names:
+        if name == "shuffle":
+            a = perms.alpha(design, perm)
+            # alpha is 1.0 exactly when is_trivial's integer identity holds: the
+            # pair count over n^2 is then exactly m, else short of m by >= 1/n^2.
+            if a == 1.0:
+                raise TrivialPermutation(
+                    f"permutation {perm.family!r} only relabels treatments (alpha=1)"
+                )
+        elif name == "mom":
+            check_replicated(design)
+    shuffle, mom = a is not None, "mom" in names
+    total, shuffled, within = mean_squares(
+        Y, design, perm.mapping if shuffle else None, within=mom
+    )
+    return Contrasts(
+        total,
+        (total - shuffled) / (1.0 - a) if shuffle else None,
+        a,
+        within / design.n if mom else None,
+    )
+
+
 def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):
     """Signal variance from the contrast drop under a noise-conserving shuffle.
 
@@ -99,17 +163,11 @@ def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):
     TrivialPermutation
         If the permutation is trivial (:func:`~shufflevar.permutations.is_trivial`).
     """
-    a = perms.alpha(design, perm)
-    # alpha is 1.0 exactly when is_trivial's integer identity holds: the pair
-    # count over n^2 is then exactly m, else short of m by >= 1/n^2.
-    if a == 1.0:
-        raise TrivialPermutation(
-            f"permutation {perm.family!r} only relabels treatments (alpha=1)"
-        )
-    Y = _columns(y, design)
-    total = ms_between(Y, design)
-    raw = (total - ms_between(Y, design, perm.mapping)) / (1.0 - a)
-    fits = [_finish("shuffle", r, t, alpha=a) for r, t in zip(raw.tolist(), total.tolist())]
+    c = contrast_pass(y, design, perm, ("shuffle",))  # alpha is checked before y's shape
+    fits = [
+        _finish("shuffle", r, t, alpha=c.alpha)
+        for r, t in zip(c.shuffle_raw.tolist(), c.total.tolist())
+    ]
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
@@ -120,12 +178,10 @@ def mom_estimate(y, design: DesignSchedule):
     statistic.  Overstates the signal when noise is positively correlated
     within treatments.  ``y`` is a series or a T x S matrix of series.
     """
-    Y = _columns(y, design)
-    total = ms_between(Y, design).tolist()
-    noise_hat = (ms_within(Y, design) / design.n).tolist()  # NoReplication if n == 1
+    c = contrast_pass(_columns(y, design), design, None, ("mom",))  # NoReplication if n == 1
     fits = [
         _finish("mom", t - nh, t, f_stat=t / nh if nh > 0 else math.inf)
-        for t, nh in zip(total, noise_hat)
+        for t, nh in zip(c.total.tolist(), c.mom_noise.tolist())
     ]
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 

@@ -61,6 +61,8 @@ def _loadtxt(lines, dtype) -> np.ndarray:
 
 def _fields(path, lineno: int, line: str) -> List[str]:
     """The fields of one line, as strings; a quoted field must close on it."""
+    if not line.endswith(("\n", "\r")):
+        line += "\n"  # a file's last line: an open quote runs over, as on any other
     try:
         fields = _loadtxt([line], object).tolist()
     except ValueError as exc:
@@ -102,11 +104,19 @@ def _table(lines, dtype: np.dtype) -> np.ndarray:
     return table
 
 
+def _closing_line(row: np.dtype, n_fields: int) -> str:
+    """A record of ``row`` to parse after the data lines: a quote left open on
+    the last of them runs into it, as it would run into the next line of
+    the file, instead of closing at the end of the input."""
+    k = n_fields - row["y"].shape[0]  # t and the labels
+    return ",".join(["1"] + [""] * (k - 1) + ["0"] * (n_fields - k))
+
+
 def _whole_file_table(path, rows, row: np.dtype, n_fields: int) -> np.ndarray:
     """All data lines in one ``np.loadtxt`` call; if that fails, the error of
     the first faulty line."""
     try:
-        return _table([line for _, line in rows], row)
+        return _table([line for _, line in rows] + [_closing_line(row, n_fields)], row)[:-1]
     except ValueError as exc:
         _check_rows(path, rows, row, n_fields)
         raise DatasetFormatError(f"{path}: {exc}") from None
@@ -152,9 +162,7 @@ def _parse_rows(path, rows, row: np.dtype, n_fields: int):
         if any(f.strip() == "-0" for f in rows[i][1].split(",")[k:]):
             fast[i] = False
     fast_rows, slow_rows = np.flatnonzero(fast), np.flatnonzero(~fast)
-    # A quote left open on the last of the other lines runs into this line,
-    # as it would run into the next line of the file.
-    closing = ",".join(["1"] + [""] * (k - 1) + ["0"] * S)
+    closing = _closing_line(row, n_fields)
     try:
         head = _table(
             [heads[i] for i in fast_rows],

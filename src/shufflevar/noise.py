@@ -553,9 +553,35 @@ def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
 
     X is overwritten a chunk of rows at a time: ``g_t = nu z_t / sqrt(d_t)``
     is taken from each chunk before it is scaled, and the last row of g
-    carries into the next chunk, so nothing of X's size is allocated.
+    carries into the next chunk, so nothing of X's size is allocated.  The
+    pivots come from :func:`_exp_nugget_pivots`, worked out once per
+    ``(T, lam1, lam2)``, and the rows are walked as lists of row views.
     """
     T, R = X.shape
+    phi = math.exp(-1.0 / lam2)
+    root, scale = _exp_nugget_pivots(T, lam1, lam2)
+    G = np.zeros((min(_COLOR_CHUNK, T) + 1, R))  # G[j] = g of the row above chunk row j
+    step = np.empty(R)
+    g_rows = list(G)
+    for t0 in range(0, T, _COLOR_CHUNK):
+        rows = X[t0 : t0 + _COLOR_CHUNK]
+        k = len(rows)
+        if scale is not None:
+            np.multiply(rows, scale[t0 : t0 + k, None], out=G[1 : k + 1])
+        rows *= root[t0 : t0 + k, None]
+        j0 = 1 if t0 == 0 else 0
+        x_rows = list(X[t0 + j0 - 1 : t0 + k])  # from the row above the first updated
+        for above, g, x in zip(x_rows, g_rows[j0:k], x_rows[1:]):
+            np.subtract(above, g, out=step)
+            step *= phi
+            x += step
+        G[0] = G[k]
+
+
+@functools.lru_cache(maxsize=8)
+def _exp_nugget_pivots(T: int, lam1: float, lam2: float):
+    """``(sqrt(d), nu / sqrt(d))`` of :func:`_exp_nugget_color`'s pivots d,
+    read-only; the second is None at nu = 0."""
     phi = math.exp(-1.0 / lam2)
     nu = 1.0 - lam1
     lam1_delta = -lam1 * math.expm1(-2.0 / lam2)
@@ -564,21 +590,13 @@ def _exp_nugget_color(X: np.ndarray, lam1: float, lam2: float) -> None:
     for t in range(T):
         d[t] = nu + e
         e = lam1_delta + (nu * phi * phi * e / (nu + e) if nu > 0 else 0.0)
-    root = np.sqrt(d)
-    scale = nu / root if nu > 0 else None
-    G = np.zeros((min(_COLOR_CHUNK, T) + 1, R))  # G[j] = g of the row above chunk row j
-    step = np.empty(R)
-    for t0 in range(0, T, _COLOR_CHUNK):
-        rows = X[t0 : t0 + _COLOR_CHUNK]
-        k = len(rows)
-        if scale is not None:
-            np.multiply(rows, scale[t0 : t0 + k, None], out=G[1 : k + 1])
-        rows *= root[t0 : t0 + k, None]
-        for j in range(1 if t0 == 0 else 0, k):
-            np.subtract(X[t0 + j - 1], G[j], out=step)
-            step *= phi
-            rows[j] += step
-        G[0] = G[k]
+    root = np.sqrt(d, out=d)
+    root.setflags(write=False)
+    if not nu > 0:
+        return root, None
+    scale = nu / root
+    scale.setflags(write=False)
+    return root, scale
 
 
 def _ar_color(X: np.ndarray, coefficients: Sequence[float]) -> None:
@@ -728,9 +746,93 @@ def substream(seed, *key) -> np.random.Generator:
     which ``SeedSequence`` would convert one part at a time.
     """
     parts = (seed, *key)
-    if all(isinstance(p, (int, np.integer)) and 0 <= p < 2**32 for p in parts):
+    if _uint32_parts(parts):
         parts = np.array(parts, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(parts))
+
+
+def _uint32_parts(parts) -> bool:
+    return all(isinstance(p, (int, np.integer)) and 0 <= p < 2**32 for p in parts)
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple:
+    """``(xor, mul)`` of ``count`` successive steps of a SeedSequence hash
+    whose constant starts at ``init`` and is multiplied by ``mult`` each step."""
+    steps, h = [], init
+    for _ in range(count):
+        nxt = h * mult & 0xFFFFFFFF
+        steps.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return tuple(steps)
+
+
+# numpy's SeedSequence on a pool of 4 words: the 16 hash steps of
+# mix_entropy, the 8 of generate_state(4, uint64), and its mixing
+# multipliers; then PCG64's 128-bit multiplier.
+_MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash(v: np.ndarray, step) -> np.ndarray:
+    xor, mul = step
+    v = (v ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _seed_state(words: Sequence[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for each column
+    of 4 uint32 entropy words, as a 4 x n uint64 array.
+
+    An entropy of fewer than 4 words hashes as if padded with zeros, so any
+    key of at most 4 words fits.
+    """
+    mixer = [_hash(w, step) for w, step in zip(words, _MIX_STEPS)]
+    steps = iter(_MIX_STEPS[4:])
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x = _MIX_L * mixer[dst] - _MIX_R * _hash(mixer[src], next(steps))
+                mixer[dst] = x ^ (x >> 16)
+    state = np.array([_hash(mixer[i % 4], step) for i, step in enumerate(_STATE_STEPS)])
+    # Little-endian word pairs, as generate_state assembles uint64 words.
+    return state[0::2].astype(np.uint64) | (state[1::2].astype(np.uint64) << np.uint64(32))
+
+
+def substreams(seed, *key, count: int):
+    """The substreams ``substream(seed, *key, r)`` for r < ``count``, in order.
+
+    The generator yielded for r draws what ``substream(seed, *key, r)``
+    draws, bit for bit, but all of them are seeded as a batch: numpy's
+    SeedSequence hash runs on arrays of r, and PCG64's seeding (``inc =
+    2 initseq + 1``, ``state = (inc + initstate) M + inc`` mod 2^128) on
+    Python ints.  One Generator is yielded each time, with its state reset,
+    so each one is valid only until the next is drawn.  A part of 2^32 or
+    more, or a key that with r exceeds 4 words, falls back to
+    :func:`substream` for every r.
+    """
+    parts = (seed, *key)
+    if len(parts) > 3 or not _uint32_parts(parts) or count > 2**32:
+        for r in range(count):
+            yield substream(seed, *key, r)
+        return
+    r = np.arange(count, dtype=np.uint32)
+    words = [np.full(count, p, dtype=np.uint32) for p in parts] + [r]
+    words += [np.zeros_like(r)] * (4 - len(words))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s0, s1, i0, i1 in zip(*_seed_state(words).tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # Experiments drawn as one block of rows, and rows that the effects are
@@ -743,13 +845,15 @@ def _draw_experiments(
     sigma2_A: float,
     model: CovarianceModel,
     sigma2_eps: float,
-    rng_of,
+    rngs,
     R: int,
 ) -> np.ndarray:
     """R synthetic experiments as the columns of a C-ordered T x R matrix.
 
-    Column r takes standard normals from ``rng_of(r)``: the m treatment
-    effects, then for ``block`` one effect per block, then T for the noise.
+    ``rngs`` yields R generators, each drawn from before the next is taken
+    (as :func:`substreams` needs).  Column r takes standard normals from the
+    r-th: the m treatment effects, then for ``block`` one effect per block,
+    then T for the noise.
     ``block`` noise is block effects plus white noise; every other family
     colours its normals in place with :meth:`CovarianceModel.color`.  The
     normals are drawn a block of experiments at a time as rows and
@@ -761,10 +865,11 @@ def _draw_experiments(
     k = m + design.n_blocks if block else m
     W = np.empty((k + T, R))
     rows = np.empty((min(_BLOCK, R), k + T))
+    rngs = iter(rngs)
     for r0 in range(0, R, _BLOCK):
         part = rows[: min(_BLOCK, R - r0)]
-        for r, row in enumerate(part, start=r0):
-            rng_of(r).standard_normal(out=row)
+        for row, rng in zip(part, rngs):
+            rng.standard_normal(out=row)
         W[:, r0 : r0 + len(part)] = part.T
     E, B, X = W[:m], W[m:k], W[k:]
     E *= math.sqrt(sigma2_A)
@@ -803,5 +908,5 @@ def sample_experiment(
             raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     truth = make_truth(sigma2_A, noise_level(noise, design, sigma2_eps))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    values = _draw_experiments(design, sigma2_A, noise, sigma2_eps, lambda r: rng, 1)[:, 0]
+    values = _draw_experiments(design, sigma2_A, noise, sigma2_eps, [rng], 1)[:, 0]
     return values, truth

@@ -8,26 +8,30 @@ Both sweeps run one grid loop, and it draws through the same sampler as
 :func:`~shufflevar.noise.sample_experiment`.  Replicate r of grid point gi
 draws from its own RNG substream keyed by (seed, 2, gi, r): the signal
 effects first, then (block noise only) the block effects, then the noise.
-A grid point's replicates are the columns of one C-ordered T x R matrix X,
-filled a block of replicates at a time.  The time-series noise is coloured
-in place by :meth:`~shufflevar.noise.CovarianceModel.color` in O(T R),
-with neither the T x T covariance nor its factor formed.  Each estimator
-runs once on X, one column per replicate; REML fits replicate r with seed
-r.  X is the only array of its size: the contrasts work in blocks too, and
-a grid point's X is freed before the next is drawn, so a paper-scale sweep
-(m = 120, n = 15, R = 1000) peaks at about 1.25 X under tracemalloc.  The
-truth of either sweep comes from :func:`~shufflevar.noise.noise_level`.
-The prediction check draws through the same sampler: its design from
-substream (seed, 0), replicate r's population and perturbation from
-(seed, 1, r), and replicate r's noise, with no signal, from (seed, 2, r).
-Everything runs on the calling thread; ``SweepConfig.threads`` is accepted
-but no longer changes how work runs.
+A grid point's substreams are seeded as a batch by
+:func:`~shufflevar.noise.substreams`, with the draws of
+:func:`~shufflevar.noise.substream`.  Its replicates are the columns of one
+C-ordered T x R matrix X, filled a block of replicates at a time.  The
+time-series noise is coloured in place by
+:meth:`~shufflevar.noise.CovarianceModel.color` in O(T R), with neither the
+T x T covariance nor its factor formed.  Shuffle and MoM share one
+:func:`~shufflevar.estimators.contrast_pass` over X and are summarised as
+arrays; REML runs through :func:`~shufflevar.estimators.run_estimator` and
+fits replicate r with seed r.  X is the only array of its size: the
+contrasts work in blocks too, and a grid point's X is freed before the next
+is drawn, so a paper-scale sweep (m = 120, n = 15, R = 1000) peaks at about
+1.25 X under tracemalloc once warm.  The truth of either sweep comes from
+:func:`~shufflevar.noise.noise_level`.  The prediction check draws through
+the same sampler: its design from substream (seed, 0), replicate r's
+population and perturbation from (seed, 1, r), and replicate r's noise,
+with no signal, from (seed, 2, r), each family of substreams seeded as a
+batch.  Everything runs on the calling thread; ``SweepConfig.threads`` is
+accepted but no longer changes how work runs.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence, Tuple
@@ -37,7 +41,8 @@ import numpy as np
 
 from . import estimators as est
 from .design import DesignSchedule, build_design, treatment_averages
-from .noise import CovarianceModel, _draw_experiments, make_truth, noise_level, substream
+from .noise import CovarianceModel, _draw_experiments, make_truth, noise_level
+from .noise import substream, substreams
 from .noise import psd_cholesky  # noqa: F401  (unused; bench/spans.py wraps it here)
 from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
 from .reml import AllStartsFailed
@@ -184,8 +189,11 @@ def _run_grid(
     Grid point ``gi``'s replicates are the columns of one T x R matrix from
     :func:`~shufflevar.noise._draw_experiments`, replicate r drawn from its
     substream (seed, 2, gi, r), with noise ``sigma2_eps`` times ``model``'s
-    covariance.  A fit that fails or does not converge counts in ``n_fail``
-    and is left out of the row's summary.
+    covariance.  Shuffle and MoM share one
+    :func:`~shufflevar.estimators.contrast_pass` and are summarised as
+    arrays; REML runs through :func:`~shufflevar.estimators.run_estimator`.
+    A fit that fails or does not converge counts in ``n_fail`` and is left
+    out of the row's summary.
     """
     names = tuple(cfg.estimators)
     for name in names:
@@ -196,22 +204,30 @@ def _run_grid(
         n_starts=cfg.reml_starts, max_evals=cfg.reml_max_evals, xatol=cfg.reml_xatol
     )
 
-    seeds = range(cfg.replicates)
+    R = cfg.replicates
+    shuffle, mom = "shuffle" in names, "mom" in names
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
-        rng_of = functools.partial(substream, cfg.seed, 2, gi)
-        Y = _draw_experiments(design, s2A, model, sigma2_eps, rng_of, cfg.replicates)
+        Y = _draw_experiments(
+            design, s2A, model, sigma2_eps, substreams(cfg.seed, 2, gi, count=R), R
+        )
         truth = make_truth(s2A, level)
+        if shuffle or mom:
+            c = est.contrast_pass(Y, design, perm, names)
         for name in names:
-            fits = [
-                e
-                for e in est.run_estimator(name, Y, design, perm, seeds, **reml_options)
-                if not isinstance(e, AllStartsFailed) and "non_converged" not in e.flags
-            ]
+            if name in ("shuffle", "mom"):
+                raws = c.shuffle_raw if name == "shuffle" else c.total - c.mom_noise
+                omegas = est._clamp(raws, c.total)[1]
+            else:
+                fits = [
+                    e
+                    for e in est.run_estimator(name, Y, design, perm, range(R), **reml_options)
+                    if not isinstance(e, AllStartsFailed) and "non_converged" not in e.flags
+                ]
+                raws, omegas = [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits]
             rows.append(
                 _summarize(
-                    s2A, name, [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits],
-                    truth.omega2, cfg.replicates - len(fits),
+                    s2A, name, raws, omegas, truth.omega2, R - len(raws),
                     a if name.startswith("shuffle") else float("nan"),
                 )
             )
@@ -310,8 +326,7 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
 
     effects = np.empty((m, R))
     perturbed = np.empty((m, R))
-    for r in range(R):
-        rng = substream(cfg.seed, 1, r)
+    for r, rng in enumerate(substreams(cfg.seed, 1, count=R)):
         mu = rng.standard_normal(M)
         mu -= mu.mean()
         if cfg.sigma2_A > 0:
@@ -324,7 +339,7 @@ def run_prediction_check(cfg: PredictionConfig) -> PredictionSummary:
         effects[:, r] = mu[:m]
         perturbed[:, r] = mu[:m] + rng.normal(0.0, cfg.perturbation_sd, m)
     noise = _draw_experiments(
-        design, 0.0, cfg.noise, cfg.sigma2_eps, functools.partial(substream, cfg.seed, 2), R
+        design, 0.0, cfg.noise, cfg.sigma2_eps, substreams(cfg.seed, 2, count=R), R
     )
     averages = effects + treatment_averages(noise, design)
     del noise  # T x R, freed before the scores' m x R temporaries

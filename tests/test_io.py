@@ -139,6 +139,25 @@ class TestRowErrorLine:
         # numpy's own wording and row count never reach a user.
         assert "dtype" not in message and "at row" not in message
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", ""])
+    @pytest.mark.parametrize("column", [2, 4])
+    def test_quote_left_open_on_the_last_line(self, column, end, tmp_path):
+        # The same fault as on any other line, whether or not the file ends
+        # in a line break: the quote must not close at the end of the input.
+        fields = GOOD[4].split(",")
+        fields[column] = '"' + fields[column]
+        p = tmp_path / "d.csv"
+        p.write_bytes(("\n".join(GOOD[:4] + [",".join(fields)]) + end).encode())
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(p)
+        assert str(info.value) == f"{p}:5: quoted field not closed on its line"
+
+    def test_quote_inside_a_label_is_kept(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, [line.replace(",a,", ',a"b,') for line in GOOD])
+        design, _, _ = read_dataset(p)
+        assert design.labels == ('a"b', "b", 'a"b', "b")
+
     def test_undecodable_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_bytes(("\n".join(GOOD) + "\n").encode() + b"5,a,x,\x81\xff,1\n")
@@ -311,10 +330,11 @@ class TestFuzzDataset:
 
 
 def loadtxt_parse(path, rows, row, n_fields):
-    """The parse without orjson: one ``np.loadtxt`` over all data lines with
-    the row dtype, and ``_check_rows`` for its errors."""
+    """The parse without orjson: one ``np.loadtxt`` over all data lines and a
+    closing line with the row dtype, and ``_check_rows`` for its errors."""
     try:
-        table = sio._loadtxt([line for _, line in rows], row)
+        lines = [line for _, line in rows] + [sio._closing_line(row, n_fields)]
+        table = sio._loadtxt(lines, row)[:-1]
         if len(table) != len(rows):
             raise ValueError("a quoted field runs over a line break")
     except ValueError as exc:

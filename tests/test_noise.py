@@ -15,12 +15,15 @@ from shufflevar import (
 from shufflevar.noise import (
     _ArPrecision,
     _ExpNuggetPrecision,
+    _draw_experiments,
+    _exp_nugget_pivots,
     _lapack,
     _toeplitz,
     ar_autocorrelations,
     make_truth,
     psd_cholesky,
     substream,
+    substreams,
 )
 from shufflevar.permutations import (
     block_random_perm,
@@ -618,3 +621,47 @@ class TestTruth:
     def test_make_truth_degenerate(self):
         t = make_truth(0.0, 0.0)
         assert t.omega2 == 0.0 and t.degenerate
+
+
+class TestSubstreams:
+    TOP = 2**32 - 1
+
+    @pytest.mark.parametrize(
+        "parts", [(0,), (TOP,), (5, 2), (0, TOP), (TOP, 2, 7), (0, 0, 0), (TOP, TOP, TOP)]
+    )
+    @pytest.mark.parametrize("count", [0, 1, 64, 65, 300])
+    def test_states_are_substream_states(self, parts, count):
+        got = [rng.bit_generator.state for rng in substreams(*parts, count=count)]
+        want = [substream(*parts, r).bit_generator.state for r in range(count)]
+        assert got == want
+
+    @pytest.mark.parametrize("parts", [(0,), (4, 2, 1), (TOP, 0, TOP)])
+    @pytest.mark.parametrize("count", [1, 64, 65, 300])
+    def test_draws_are_substream_draws(self, parts, count):
+        # Through the sampler, whose blocks of 64 drawn rows the counts span.
+        d = make_random_schedule(3, 2, np.random.default_rng(0))
+        model = CovarianceModel.exp_nugget(0.7, 4.0)
+        got = _draw_experiments(d, 0.4, model, 1.3, substreams(*parts, count=count), count)
+        want = _draw_experiments(
+            d, 0.4, model, 1.3, [substream(*parts, r) for r in range(count)], count
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("parts", [(2**32, 2), (TOP + 1,), (1, 2, 3, 4), (0, 0, 0, 0, 0)])
+    def test_falls_back_to_substream(self, parts):
+        # A part of 2^32 or more, or a key that with r is longer than 4 words.
+        for r, rng in enumerate(substreams(*parts, count=5)):
+            want = substream(*parts, r)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+
+    def test_yields_one_generator_reseeded(self):
+        first, second = (id(rng) for rng in substreams(3, 1, count=2))
+        assert first == second
+
+
+def test_exp_nugget_pivots_are_cached_read_only():
+    root, scale = _exp_nugget_pivots(50, 0.7, 30.0)
+    assert _exp_nugget_pivots(50, 0.7, 30.0)[0] is root
+    assert not root.flags.writeable and not scale.flags.writeable
+    assert _exp_nugget_pivots(50, 1.0, 30.0)[1] is None  # nu = 0

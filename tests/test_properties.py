@@ -14,8 +14,8 @@ from shufflevar import (
     ms_between,
     shuffle_estimate,
 )
-from shufflevar.estimators import TrivialPermutation
-from shufflevar.noise import substream
+from shufflevar.estimators import TrivialPermutation, _clamp, _finish
+from shufflevar.noise import substream, substreams
 from shufflevar.permutations import PermutationSpec, block_random_perm
 
 from dense_oracles import alpha_dense
@@ -179,3 +179,32 @@ def test_substream_seeds_as_the_tuple_key(parts):
         assert np.array_equal(got.generate_state(8), want.generate_state(8))
     state = substream(*parts).bit_generator.state
     assert state == np.random.default_rng(want).bit_generator.state
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=70),
+)
+@settings(max_examples=60, deadline=None)
+def test_substreams_are_substreams(parts, count):
+    got = [rng.bit_generator.state for rng in substreams(*parts, count=count)]
+    assert got == [substream(*parts, r).bit_generator.state for r in range(count)]
+
+
+special = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1.0, -1.0])
+value = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(st.tuples(value, value), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+@example([(-0.0, 1.0), (float("nan"), 1.0), (float("inf"), float("inf")), (0.5, -0.0)])
+@example([(1.0, float("nan")), (2.0, 1.0), (-3.0, -1.0), (float("inf"), 2.0)])
+def test_vector_clamp_is_finish(pairs):
+    # The sweep clamps raw estimates and forms omega2 as arrays; every value,
+    # down to the sign of a zero, is _finish's.
+    raw, total = (np.array(v) for v in zip(*pairs))
+    clamped, omega2 = _clamp(raw, total)
+    for j, (r, t) in enumerate(pairs):
+        e = _finish("x", r, t)
+        assert clamped[j].tobytes() == np.float64(e.sigma2_A).tobytes()
+        assert omega2[j].tobytes() == np.float64(e.omega2).tobytes()

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shufflevar import estimators as est
 from shufflevar import sweeps
 from shufflevar.estimators import run_estimator
 from shufflevar.noise import CovarianceModel, psd_cholesky, sample_experiment, substream
@@ -263,19 +262,55 @@ def test_replicates_are_sample_experiment_draws(kind, monkeypatch):
         design = make_random_schedule(cfg.m, cfg.n, substream(cfg.seed, 0))
         model, sigma2_eps = CovarianceModel.exp_nugget(cfg.lam1, cfg.lam2), cfg.sigma2_eps
     seen = []
-    run = est.run_estimator
+    draw = sweeps._draw_experiments
 
-    def spy(name, Y, *args, **kwargs):
+    def spy(*args, **kwargs):
+        Y = draw(*args, **kwargs)
         seen.append(Y.copy())
-        return run(name, Y, *args, **kwargs)
+        return Y
 
-    monkeypatch.setattr(est, "run_estimator", spy)
+    monkeypatch.setattr(sweeps, "_draw_experiments", spy)
     sweep(cfg)
     assert len(seen) == len(cfg.sigma2_A_grid)
     for gi, (s2A, Y) in enumerate(zip(cfg.sigma2_A_grid, seen)):
         for r in range(cfg.replicates):
             rng = substream(cfg.seed, 2, gi, r)
             assert np.array_equal(Y[:, r], sample_experiment(design, s2A, model, sigma2_eps, rng)[0])
+
+
+@pytest.mark.parametrize("kind", ["timeseries", "block"])
+def test_contrast_rows_are_run_estimator_rows(kind, monkeypatch):
+    # Shuffle and MoM are summarised from one contrast pass as arrays; each
+    # row has the repr of the row summarised from run_estimator's
+    # VarianceEstimate objects on the same drawn matrix.
+    base = SMALL_BLOCK if kind == "block" else SMALL_TS
+    cfg = replace(base, estimators=("shuffle", "mom"), replicates=70)
+    sweep = run_block_sweep if kind == "block" else run_timeseries_sweep
+    seen = []
+    draw = sweeps._draw_experiments
+
+    def spy(design, *args, **kwargs):
+        Y = draw(design, *args, **kwargs)
+        seen.append((design, Y.copy()))
+        return Y
+
+    monkeypatch.setattr(sweeps, "_draw_experiments", spy)
+    rows = iter(sweep(cfg).rows)
+    for s2A, (design, Y) in zip(cfg.sigma2_A_grid, seen):
+        if kind == "block":
+            perm = block_random_perm(design, substream(cfg.seed, 1))
+        else:
+            perm = reverse_perm(design.T)
+        for name in cfg.estimators:
+            got = next(rows)
+            fits = run_estimator(name, Y, design, perm, range(cfg.replicates))
+            want = sweeps._summarize(
+                s2A, name, [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits],
+                got.omega2_true, cfg.replicates - len(fits),
+                sweeps.alpha(design, perm) if name == "shuffle" else float("nan"),
+            )
+            assert repr(got) == repr(want)
+    assert next(rows, None) is None
 
 
 def test_prediction_noise_is_sample_experiment_draws(monkeypatch):
