@@ -7,24 +7,26 @@ provenance comments and are skipped, as are blank lines.  In memory a
 dataset is its design, the series names and a T x S matrix with one column
 per series.
 
-Grammar (numpy's C tokenizer, ``np.loadtxt``): one record per line, fields
-separated by ``,``.  A field may be quoted with ``"``, a quote inside it
-doubled (``""``), as the csv module writes it; a quoted field must close on
-its line.  Labels are kept as written, spaces included; header names are
-stripped.  Numbers are ASCII: whitespace around them is allowed,
-underscores (``1_0``) and non-ASCII digits are rejected.
-``nan`` and ``inf`` parse but are rejected as non-finite.  Every row error
-names its file line as ``path:line: reason``.
+Grammar (numpy's C tokenizer, ``np.loadtxt``): UTF-8 text whatever the
+locale, one record per line, lines ending in ``\n``, ``\r\n`` or a lone
+``\r``, fields separated by ``,``.  A field may be quoted with ``"``, a
+quote inside it doubled (``""``), as the csv module writes it; a quoted
+field must close on its line.  Labels are kept as written, spaces included;
+header names are stripped.  Numbers are ASCII: whitespace around them is
+allowed, underscores (``1_0``) and non-ASCII digits are rejected.  ``nan``
+and ``inf`` parse but are rejected as non-finite.  Every row error names
+its file line as ``path:line: reason``.
 
-``np.loadtxt`` reads ``t`` and the labels.  orjson, whose decimal-to-double
-conversion is correctly rounded like Python's, reads the numbers of each
-line it can read exactly as ``np.loadtxt`` would; every other line, and
-every error, goes through ``np.loadtxt``.
+One binary pass reads the file.  orjson, whose decimal-to-double conversion
+is correctly rounded like Python's, packs the numbers of each line it reads
+exactly as ``np.loadtxt`` would straight into the values; ``np.loadtxt``
+reads the rest of the file and every error.
 """
 
 from __future__ import annotations
 
 import csv
+import struct
 import warnings
 from typing import List, Sequence, Tuple
 
@@ -72,23 +74,15 @@ def _fields(path, lineno: int, line: str) -> List[str]:
     return fields
 
 
-def _check_rows(path, rows, row: np.dtype, n_fields: int) -> None:
-    """Raise the error of the first data line that is not one row on its own.
-
-    Runs only once the whole-file parse has failed: it locates the fault and
-    never produces values."""
-    for lineno, line in rows:
-        fields = _fields(path, lineno, line)
-        if len(fields) != n_fields:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}"
-            )
-        try:
-            _loadtxt([line], row)
-        except ValueError as exc:
-            # numpy's message ends in its own row and column count.
-            reason = str(exc).partition(" at row ")[0]
-            raise DatasetFormatError(f"{path}:{lineno}: {reason}") from None
+def _record(path, lineno: int, line: str, row: np.dtype, n_fields: int) -> np.ndarray:
+    """The one-record table of a line read on its own, or the line's error."""
+    fields = _fields(path, lineno, line)
+    if len(fields) != n_fields:
+        raise DatasetFormatError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+    try:
+        return _loadtxt([line], row)
+    except ValueError as exc:  # numpy's message ends in its own row and column count
+        raise DatasetFormatError(f"{path}:{lineno}: {str(exc).partition(' at row ')[0]}") from None
 
 
 # What orjson may read in a line's numbers: the bytes of JSON numbers, the
@@ -96,148 +90,150 @@ def _check_rows(path, rows, row: np.dtype, n_fields: int) -> None:
 _NUMBER_BYTES = b"0123456789.eE+-, \t\r\n"
 
 
-def _table(lines, dtype: np.dtype) -> np.ndarray:
-    """One record per line; ValueError if a quoted field runs over a line break."""
-    table = _loadtxt(lines, dtype) if lines else np.empty(0, dtype)
-    if len(table) != len(lines):
-        raise ValueError("a quoted field runs over a line break")
-    return table
+def _lines(path, fh):
+    """The number and bytes of each record line of a binary file: lines end
+    as in text mode with ``newline=""``, blank and ``#`` lines are skipped,
+    and a byte that is not UTF-8 is an error."""
+    lineno = 0
+    for raw in fh:
+        if not raw.isascii():
+            try:
+                raw.decode()
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+        cr = raw.find(b"\r")  # a \r that does not end the line ends one inside it
+        split = cr >= 0 and raw[cr + 1:] not in (b"", b"\n")
+        for line in raw.splitlines(keepends=True) if split else (raw,):
+            lineno += 1
+            lead = line.lstrip()
+            if lead[:1] >= b"\x80" or b"\x1c" <= lead[:1] <= b"\x1f":  # str.strip() strips more
+                lead = lead.decode().lstrip().encode()
+            if lead[:1] not in (b"", b"#"):
+                yield lineno, line
 
 
-def _closing_line(row: np.dtype, n_fields: int) -> str:
-    """A record of ``row`` to parse after the data lines: a quote left open on
-    the last of them runs into it, as it would run into the next line of
-    the file, instead of closing at the end of the input."""
-    k = n_fields - row["y"].shape[0]  # t and the labels
-    return ",".join(["1"] + [""] * (k - 1) + ["0"] * (n_fields - k))
+def _header(path, lineno: int, line: str) -> Tuple[int, List[str]]:
+    """The header's count of schedule columns (``t,stimulus[,block]``) and its series."""
+    header = [h.strip() for h in _fields(path, lineno, line)]
+    if len(header) < 3 or header[0] != "t" or header[1] != "stimulus":
+        raise DatasetFormatError(f"{path}:{lineno}: header must start with t,stimulus[,block]")
+    k = 3 if header[2] == "block" else 2
+    if k == 2:
+        warnings.warn(f"{path}: no block column; assuming a single block", stacklevel=3)
+    if len(header) == k:
+        raise DatasetFormatError(f"{path}: no series columns after the schedule")
+    return k, header[k:]
 
 
-def _whole_file_table(path, rows, row: np.dtype, n_fields: int) -> np.ndarray:
-    """All data lines in one ``np.loadtxt`` call; if that fails, the error of
-    the first faulty line."""
+def _pack(line: bytes, k: int, loads, packer: struct.Struct):
+    """The head (``t`` and the labels) of a line and its values packed as
+    doubles, or None if ``np.loadtxt`` must read the line.  A quote may sit
+    in the head only.  orjson rejects ``.5``, ``+1``, an empty field and an
+    overflow, and reads an integer ``-0`` as ``0``."""
+    end, n = -1, 0  # the comma after the first n fields
+    if b'"' in line:  # np.loadtxt reads the fields up to the comma after the last quote
+        end = line.find(b",", line.rfind(b'"'))
+        try:
+            n = len(_fields(None, 0, line[:end].decode())) if end > 0 else k + 1
+        except DatasetFormatError:
+            return None
+    for _ in range(k - n):
+        end = line.find(b",", end + 1)
+        if end < 0:
+            return None
+    numbers = line[end + 1:]
+    if n > k or numbers.translate(None, _NUMBER_BYTES):
+        return None
     try:
-        return _table([line for _, line in rows] + [_closing_line(row, n_fields)], row)[:-1]
-    except ValueError as exc:
-        _check_rows(path, rows, row, n_fields)
-        raise DatasetFormatError(f"{path}: {exc}") from None
+        packed = packer.pack(*loads(b"[" + numbers + b"]"))
+    except (ValueError, struct.error):  # not JSON, or not one number per series
+        return None
+    if bytes(8) in packed and b"-0" in [f.strip() for f in numbers.split(b",")]:
+        return None  # a +0.0 that may be an integer -0
+    return line[:end], packed
 
 
-def _parse_rows(path, rows, row: np.dtype, n_fields: int):
-    """``t``, the labels and the T x S values of the data lines, in file order.
-
-    orjson reads the numbers of a line straight into its row of the values
-    when the line has no quote and its numbers are plain JSON numbers.  Any
-    other line keeps to ``np.loadtxt``: orjson rejects ``.5``, ``+1``, an
-    empty field and an overflow, and reads an integer ``-0`` as ``0``.
-    ``t`` and the labels come from one ``np.loadtxt`` call over the first
-    fields of the lines orjson read, and one over the other lines whole.  If
-    either fails, the whole-file parse runs and raises its error.
-    """
+def _rows(path, lines, k: int, S: int):
+    """The line numbers, ``t``, labels and T x S values of the data lines, in
+    file order.  The packed lines' heads and the other lines go to one
+    ``np.loadtxt`` call each; if either fails, each line is read on its own
+    in file order, so the error is the first faulty line's."""
     import orjson  # not at module level: it adds about 9 ms to start-up
 
-    T, S = len(rows), row["y"].shape[0]
-    k = n_fields - S  # t and the labels
-    y = np.zeros((T, S))  # zeros, not empty: the -0 check compares every row
-    heads = [None] * T  # the first k fields of each line orjson read
-    for i, (_, line) in enumerate(rows):
-        if '"' in line:
-            continue
-        fields = line.split(",", k)
-        if len(fields) <= k:
-            continue
-        numbers = fields[k]
-        text = numbers.encode()
-        if text.translate(None, _NUMBER_BYTES):
-            continue
-        try:
-            values = orjson.loads(b"[" + text + b"]")
-        except orjson.JSONDecodeError:
-            continue
-        if len(values) == S:
-            y[i] = values
-            heads[i] = line[: len(line) - len(numbers) - 1]
-    fast = np.array([head is not None for head in heads], dtype=bool)
-    # orjson reads an integer -0 as 0; such a line is left to np.loadtxt.
-    for i in np.flatnonzero(fast & (y == 0).any(axis=1)):
-        if any(f.strip() == "-0" for f in rows[i][1].split(",")[k:]):
-            fast[i] = False
-    fast_rows, slow_rows = np.flatnonzero(fast), np.flatnonzero(~fast)
-    closing = _closing_line(row, n_fields)
-    try:
-        head = _table(
-            [heads[i] for i in fast_rows],
-            np.dtype([("t", np.int64), ("labels", object, (k - 1,))]),
-        )
-        whole = _table([rows[i][1] for i in slow_rows] + [closing], row)[:-1]
-    except ValueError:
-        table = _whole_file_table(path, rows, row, n_fields)
-        return table["t"], table["labels"], table["y"]
-    t = np.empty(T, np.int64)
-    labels = np.empty((T, k - 1), object)
-    t[fast_rows], labels[fast_rows] = head["t"], head["labels"]
-    t[slow_rows], labels[slow_rows], y[slow_rows] = whole["t"], whole["labels"], whole["y"]
-    return t, labels, y
-
-
-def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
-    """Parse a dataset CSV into its design, series names and T x S values."""
-    try:
-        with open(path, newline="") as fh:
-            lines = [
-                (i + 1, line)
-                for i, line in enumerate(fh)
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
-    if not lines:
-        raise DatasetFormatError(f"{path}: no data rows")
-    (head_lineno, head), *rows = lines
-    header = [h.strip() for h in _fields(path, head_lineno, head)]
-    if len(header) < 3 or header[0] != "t" or header[1] != "stimulus":
-        raise DatasetFormatError(
-            f"{path}:{head_lineno}: header must start with t,stimulus[,block]"
-        )
-    has_block = header[2] == "block"
-    first_series = 3 if has_block else 2
-    if not has_block:
-        warnings.warn(
-            f"{path}: no block column; assuming a single block", stacklevel=2
-        )
-    series_names = header[first_series:]
-    if not series_names:
-        raise DatasetFormatError(f"{path}: no series columns after the schedule")
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-
     # Labels are Python strings (object), so none is truncated.
-    row = np.dtype([
-        ("t", np.int64),
-        ("labels", object, (first_series - 1,)),
-        ("y", np.float64, (len(series_names),)),
-    ])
-    t, labels, y = _parse_rows(path, rows, row, len(header))
+    head_row = np.dtype([("t", np.int64), ("labels", object, (k - 1,))])
+    row = np.dtype(head_row.descr + [("y", np.float64, (S,))])
+    packer, values, linenos = struct.Struct(f"{S}d"), bytearray(), []
+    heads, others = [], []  # (row, line number, head or whole line)
+    for lineno, line in lines:
+        plain = _pack(line, k, orjson.loads, packer)
+        if plain:
+            heads.append((len(linenos), lineno, plain[0].decode()))
+            values += plain[1]
+        else:
+            others.append((len(linenos), lineno, line.decode()))
+            values += bytes(packer.size)  # filled from the table below
+        linenos.append(lineno)
+    closing = "1" + "," * (k - 1)  # a quote left open on the last line runs into it
+    try:
+        head = _loadtxt([text for _, _, text in heads] + [closing], head_row)[:-1]
+        whole = _loadtxt([text for _, _, text in others] + [closing + ",0" * S], row)[:-1]
+        if len(head) != len(heads) or len(whole) != len(others):
+            raise ValueError("a quoted field runs over a line break")
+    except ValueError as exc:
+        whole_lines = {i for i, _, _ in others}
+        for i, lineno, text in sorted(heads + others):
+            _record(path, lineno, text, *((row, k + S) if i in whole_lines else (head_row, k)))
+        raise DatasetFormatError(f"{path}: {exc}") from None
+    i, j = [i for i, _, _ in heads], [j for j, _, _ in others]
+    t, labels = np.empty(len(linenos), np.int64), np.empty((len(linenos), k - 1), object)
+    y = np.frombuffer(values).reshape(-1, S)
+    t[i], labels[i] = head["t"], head["labels"]
+    t[j], labels[j], y[j] = whole["t"], whole["labels"], whole["y"]
+    return linenos, t, labels, y
+
+
+def _dataset(path, names, linenos, t, labels, y):
+    """The design, series names and values of the rows, in ``t`` order."""
     T = len(t)
+    if not T:
+        raise DatasetFormatError(f"{path}: no data rows")
     order = np.argsort(t, kind="stable")
     if not np.array_equal(t[order], np.arange(1, T + 1)):
         # Name the first line whose t is out of range or repeats an earlier one.
         seen = set()
-        for (lineno, _), ti in zip(rows, t.tolist()):
+        for lineno, ti in zip(linenos, t.tolist()):
             if not 1 <= ti <= T or ti in seen:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: t column must be a permutation of 1..{T}, got t={ti}"
                 )
             seen.add(ti)
+    if np.array_equal(order, np.arange(T)):
+        order = slice(None)  # rows already in t order: no copy of the values
     labels = labels[order]
-    design = build_design(
-        labels[:, 0].tolist(), labels[:, 1].tolist() if has_block else None
-    )
+    blocks = labels[:, 1].tolist() if labels.shape[1] == 2 else None
+    design = build_design(labels[:, 0].tolist(), blocks)
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
-        raise DatasetFormatError(
-            f"{path}:{rows[int(np.argmin(finite))][0]}: non-finite value"
-        )
-    return design, series_names, y[order]
+        raise DatasetFormatError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
+    return design, names, y[order]
+
+
+def read_dataset(path) -> Tuple[DesignSchedule, List[str], np.ndarray]:
+    """Parse a dataset CSV into its design, series names and T x S values."""
+    with open(path, "rb") as fh:
+        lines = _lines(path, fh)
+        try:
+            lineno, line = next(lines, (0, None))
+            if line is None:
+                raise DatasetFormatError(f"{path}: no data rows")
+            k, names = _header(path, lineno, line.decode())
+            rows = _rows(path, lines, k, len(names))
+        except DatasetFormatError:
+            for _ in lines:  # a byte that is not UTF-8 is the file's first fault
+                pass
+            raise
+    return _dataset(path, names, *rows)
 
 
 def write_dataset(
@@ -339,7 +335,10 @@ def parse_noise(spec: str) -> CovarianceModel:
     if spec == "iid":
         return CovarianceModel.iid()
     name, _, rest = spec.partition(":")
-    params = [float(v) for v in rest.split(",")] if rest else []
+    try:
+        params = [float(v) for v in rest.split(",")] if rest else []
+    except ValueError as exc:
+        raise ValueError(f"noise {spec!r}: {exc}") from None
     if name in ("exp-nugget", "exp_nugget"):
         if len(params) != 2:
             raise ValueError("exp-nugget takes exactly two parameters")

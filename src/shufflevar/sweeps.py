@@ -370,7 +370,8 @@ def parse_fields(cls, record) -> dict:
     """Parse the text values in ``record`` that name fields of dataclass ``cls``.
 
     Each value is converted to its field's annotated type; a
-    ``Tuple[X, ...]`` field is a comma-separated list of ``X``.
+    ``Tuple[X, ...]`` field is a comma-separated list of ``X``.  A value
+    that does not convert is an error naming its key.
     """
     types = get_type_hints(cls)
     out = {}
@@ -378,10 +379,13 @@ def parse_fields(cls, record) -> dict:
         if f.name not in record:
             continue
         tp, text = types[f.name], record[f.name]
-        if get_origin(tp) is tuple:
-            out[f.name] = tuple(get_args(tp)[0](v.strip()) for v in text.split(","))
-        else:
-            out[f.name] = tp(text)
+        try:
+            if get_origin(tp) is tuple:
+                out[f.name] = tuple(get_args(tp)[0](v.strip()) for v in text.split(","))
+            else:
+                out[f.name] = tp(text)
+        except ValueError as exc:
+            raise ValueError(f"{exc} for key {f.name!r}") from None
     return out
 
 

@@ -211,6 +211,17 @@ class TestAlpha:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["alpha", "diagnose"])
+    def test_bad_noise_parameter_names_the_spec(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        rc = main([command, "--schedule", "a,b,a,b", "--noise", "exp-nugget:x,1", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: noise 'exp-nugget:x,1': could not convert string to float: 'x'\n"
+        )
+        assert not out.exists()
+
+
 class TestDiagnose:
     def test_candidates_listed(self, tmp_path):
         out = tmp_path / "diag.txt"
@@ -316,6 +327,10 @@ class TestSimulate:
             ("kind = reml\nreml_xatol = -1\n", "error: reml_xatol must be finite and positive, got -1.0"),
             ("kind = timeseries\nseed = -1\n", "error: seed must be nonnegative, got -1"),
             ("kind = block\nm = six\n", "error: invalid literal for int() with base 10: 'six'"),
+            (
+                "kind = timeseries\nlam1 = abc\n",
+                "error: could not convert string to float: 'abc' for key 'lam1'",
+            ),
         ],
     )
     def test_bad_config_exits_before_any_sampling(

@@ -1,9 +1,10 @@
 import csv
 import io
+import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ def with_bad_row(bad_row):
     return ["# provenance", GOOD[0], "", GOOD[1], "# note", "  ", bad_row, GOOD[3], GOOD[4]]
 
 
+# A file whose line 3 has a bad t and whose line 4 is short (found by Hypothesis).
+FIRST_FAULT_FIRST = (
+    b"# note\nt,stimulus,block,v1\na3,c,x,1e-3\na,x,2\n5,b,y,-4\n2,b,x,0\n6,c,y,1\n4,a,y,7.5\n"
+)
+
 ROW_FAULTS = {
     "unparseable-value": ("2,b,x,oops,2.0", "could not convert string 'oops'"),
     "unparseable-t": ("two,b,x,-0.25,2.0", "could not convert string 'two'"),
@@ -115,6 +121,8 @@ ROW_FAULTS = {
     "t-repeated": ("1,b,x,-0.25,2.0", "permutation of 1..4, got t=1"),
     "short-row": ("2,b,x,-0.25", "expected 5 fields, got 4"),
     "long-row": ("2,b,x,-0.25,2.0,3.0", "expected 5 fields, got 6"),
+    # A quote past the labels, and after it as many numbers as there are series.
+    "long-row-quoted-field": ('2,b,x,"1",-0.25,2.0', "expected 5 fields, got 6"),
     "unclosed-quote": ('2,"b,x,-0.25,2.0', "quoted field not closed on its line"),
     "quote-spans-lines": ('2,"b\nb",x,-0.25,2.0', "quoted field not closed on its line"),
     "nan": ("2,b,x,nan,2.0", "non-finite value"),
@@ -169,6 +177,106 @@ class TestRowErrorLine:
         write_lines(p, [GOOD[0], "# no rows"])
         with pytest.raises(DatasetFormatError, match="no data rows"):
             read_dataset(p)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"# \x81 note\n" + "\n".join(GOOD).encode(),
+            GOOD[0].encode() + b"\n2,b,x,oops,2.0\n# \x81\n",
+            b"t,stim,v1\n1,a,1\n# \x81\n",
+        ],
+        ids=["comment", "after-a-faulty-row", "after-a-bad-header"],
+    )
+    def test_byte_not_utf8_is_the_first_fault(self, data, tmp_path):
+        # Any byte of the file that is not UTF-8 is an error, found before any
+        # row error, a comment line's byte included.
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(p)
+        assert str(info.value) == f"{p}: not utf-8 text: invalid start byte"
+
+    def test_first_faulty_line_in_file_order(self, tmp_path):
+        # A plain line's t is read after the lines that follow it; the fault on
+        # line 3 still comes before the short row on line 4.
+        p = tmp_path / "d.csv"
+        p.write_bytes(FIRST_FAULT_FIRST)
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(p)
+        assert str(info.value) == f"{p}:3: could not convert string 'a3' to int64"
+
+    def test_lone_cr_in_a_crlf_file_ends_a_line(self, tmp_path):
+        # As in text mode: "2,b,x,-0.25,2.0" and "3,a,y,..." are two lines.
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\r\n".join(line.encode() for line in GOOD[:2]) + b"\r\n"
+                      + b"\r".join(line.encode() for line in GOOD[2:4]) + b"\r\n"
+                      + GOOD[4].encode() + b"\r\n")
+        _, _, Y = read_dataset(p)
+        assert Y[:, 0].tolist() == [0.5, -0.25, 0.125, 2.5]
+        p.write_bytes(p.read_bytes().replace(b",-0.25,2.0\r", b",-0.25\r"))
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(p)
+        assert str(info.value) == f"{p}:3: expected 5 fields, got 4"
+
+    @pytest.mark.parametrize(
+        "respell",
+        [
+            lambda line: '{},"{}","{}",{}'.format(*line.split(",", 3)),
+            lambda line: ",".join(f'"{f}"' for f in line.rstrip("\r\n").split(",")) + "\n",
+            lambda line: re.sub(r"(?<![0-9.eE])(-?)0\.", r"\1.", line),
+        ],
+        ids=["labels-quoted", "all-quoted", "leading-dot"],
+    )
+    def test_other_spellings_read_as_plain_ones(self, respell, tmp_path):
+        # Quoted labels are read with the packed numbers; a quoted number and
+        # ".5" are not JSON, so those lines are read whole by np.loadtxt.
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        rng = np.random.default_rng(1)
+        design = build_design(["a", "b", "c"] * 4, ["x"] * 6 + ["y"] * 6)
+        write_dataset(plain, design, ["v1", "v2", "v3"], rng.standard_normal((12, 3)) / 2)
+        lines = plain.read_text().splitlines(keepends=True)
+        other.write_text("".join(lines[:1] + [respell(line) for line in lines[1:]]))
+        assert other.read_text() != plain.read_text()
+        assert read_outcome(read_dataset, other) == read_outcome(read_dataset, plain)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"t,stimulus,block,v1\n1,a,x,.5\n2,b,x,\"1\n3,a,y,1\nfour,b,y,2\n", 3),
+            (b"t,stimulus,block,v1\n1,a,x,.5\ntwo,b,x,1\n3,a,y,oops\n4,b,y,2\n", 3),
+            (b"t,stimulus,block,v1\n1,a,x,.5\n2,b,x,1\n3,a,y,1\n4,b,y,\"2\n", 5),
+        ],
+        ids=["open-quote-then-plain", "plain-then-whole", "open-quote-on-the-last-line"],
+    )
+    def test_first_fault_among_packed_and_whole_lines(self, data, line, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset(p)
+        assert str(info.value).startswith(f"{p}:{line}: ")
+        assert read_outcome(read_dataset, p) == read_outcome(loadtxt_parse, p)
+
+    @pytest.mark.parametrize("rows, bound", [("in t order", 1.5), ("reversed", 2.5)])
+    def test_peak_memory_is_a_small_multiple_of_the_values(self, rows, bound, tmp_path):
+        # Lines are not held: the peak is the values, a copy of them in t order
+        # if the rows are not, and a little more; the file is 2.5 times the values.
+        p = tmp_path / "d.csv"
+        T, S = 360, 200
+        design = build_design([f"s{j}" for j in range(36)] * 10)
+        Y = np.random.default_rng(2).standard_normal((T, S))
+        write_dataset(p, design, [f"y{j}" for j in range(S)], Y)
+        if rows == "reversed":
+            header, *body = p.read_text().splitlines(keepends=True)
+            p.write_text("".join([header] + body[::-1]))
+        read_dataset(p)  # imports, caches
+        tracemalloc.start()
+        try:
+            _, _, Y2 = read_dataset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y2.tobytes() == Y.tobytes() and p.stat().st_size > 2.5 * Y.nbytes
+        assert peak <= bound * Y.nbytes, peak / Y.nbytes
 
 
 def reference_read(path):
@@ -329,27 +437,50 @@ class TestFuzzDataset:
             assert rc in (0, 1)
 
 
-def loadtxt_parse(path, rows, row, n_fields):
-    """The parse without orjson: one ``np.loadtxt`` over all data lines and a
-    closing line with the row dtype, and ``_check_rows`` for its errors."""
+def loadtxt_parse(path):
+    """The reader as one whole-file ``np.loadtxt`` parse: the file's lines
+    read in text mode, all data lines and a closing line in one call with
+    the row dtype, and each line read on its own for the first one's error.
+
+    The closing line is a record parsed after the data lines: a quote left
+    open on the last of them runs into it, as it would run into the next
+    line of the file, instead of closing at the end of the input.
+    """
     try:
-        lines = [line for _, line in rows] + [sio._closing_line(row, n_fields)]
-        table = sio._loadtxt(lines, row)[:-1]
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [
+                (i + 1, line)
+                for i, line in enumerate(fh)
+                if line.strip() and not line.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+    if not lines:
+        raise DatasetFormatError(f"{path}: no data rows")
+    (head_lineno, head), *rows = lines
+    k, names = sio._header(path, head_lineno, head)
+    S = len(names)
+    row = np.dtype([("t", np.int64), ("labels", object, (k - 1,)), ("y", np.float64, (S,))])
+    closing = ",".join(["1"] + [""] * (k - 1) + ["0"] * S)
+    try:
+        table = sio._loadtxt([line for _, line in rows] + [closing], row)[:-1]
         if len(table) != len(rows):
             raise ValueError("a quoted field runs over a line break")
     except ValueError as exc:
-        sio._check_rows(path, rows, row, n_fields)
+        for lineno, line in rows:
+            sio._record(path, lineno, line, row, k + S)
         raise DatasetFormatError(f"{path}: {exc}") from None
-    return table["t"], table["labels"], table["y"]
+    linenos = [lineno for lineno, _ in rows]
+    return sio._dataset(path, names, linenos, table["t"], table["labels"], table["y"])
 
 
-def read_outcome(path):
-    """What ``read_dataset`` gives: labels, blocks, names and the values'
-    bytes, or the type and text of its error."""
+def read_outcome(read, path):
+    """What ``read`` gives: labels, blocks, names and the values' bytes, or
+    the type and text of its error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            design, names, Y = read_dataset(path)
+            design, names, Y = read(path)
     except (DatasetFormatError, DesignError) as exc:
         return type(exc).__name__, str(exc)
     blocks = list(design.block_labels) if design.has_blocks else None
@@ -360,10 +491,7 @@ def assert_parse_matches_loadtxt(text, newline=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_text(text, encoding="utf-8", newline=newline)
-        got = read_outcome(path)
-        with mock.patch.object(sio, "_parse_rows", loadtxt_parse):
-            want = read_outcome(path)
-    assert got == want
+        assert read_outcome(read_dataset, path) == read_outcome(loadtxt_parse, path)
 
 
 # One row per spelling of a number; a naive fast reader fails the "-0" row.
@@ -420,6 +548,25 @@ class TestAgainstLoadtxtParse:
     def test_quoted_labels(self):
         text = '# note\nt,stimulus,block,v1\n1,"a,1",x,0.5\n2,b,"x ""y""",-0\n3,"a,1",x,1e-3\n4,b,"x ""y""",2\n'
         assert_parse_matches_loadtxt(text)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"t,stimulus,block,v1\r\n1,a,x,0.5\r\n2,b,x\r1.0\r\n3,a,y,1\r\n4,b,y,2\r\n",
+            b"t,stimulus,block,v1\r\n1,a,x,0.5\r\n2,b,x,1\r3,a,y,1\r\n4,b,y,2\r\r",
+            b"# \x81\nt,stimulus,block,v1\n1,a,x,0.5\n2,b,x,1\n",
+            b"t,stimulus,v1\n1,a,.5\n2,b,x\n\xc2\xa0\n# \xff\n",
+            b"t,stimulus,v1\n\xc2\xa0# note\n1,\xc3\xa9,1\n\x1c\n2,b,-0\n",
+            FIRST_FAULT_FIRST,
+        ],
+        ids=["lone-cr-short-row", "lone-cr", "comment-byte", "byte-after-a-fault",
+             "unicode-space-and-label", "first-fault-in-file-order"],
+    )
+    def test_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(data)
+            assert read_outcome(read_dataset, path) == read_outcome(loadtxt_parse, path)
 
     @settings(max_examples=200, deadline=None)
     @given(csv_written_dataset())
