@@ -19,8 +19,7 @@ from dataclasses import fields, replace
 from . import __version__
 from . import estimators as est
 from . import io as sio
-from .design import DesignSchedule, NoReplication, build_design
-from .estimators import TrivialPermutation
+from .design import DesignSchedule, build_design
 from .permutations import alpha as mixing_alpha
 from .noise import noise_conservation_gap
 from .permutations import is_trivial
@@ -68,17 +67,20 @@ def cmd_estimate(args) -> int:
     design, names, Y = sio.read_dataset(args.input)
     perm = sio.parse_permutation(args.permutation, design, seed=args.seed)
 
-    results = []  # per method, one estimate or exception per series
+    # Shuffle and MoM share one contrast pass and are written from arrays.
+    shared = est.batch_fits(Y, design, perm, methods)
+    records = []  # per method, one output record per series
     for method in methods:
-        try:
-            results.append(est.run_estimator(method, Y, design, perm, args.seed))
-        except (TrivialPermutation, NoReplication) as exc:
-            results.append((exc,) * len(names))
-    rows = [
-        sio.estimate_row(name, method, e)
-        for name, per_method in zip(names, zip(*results))
-        for method, e in zip(methods, per_method)
-    ]
+        results = shared.get(method)
+        if isinstance(results, est.Fits):
+            records.append(sio.fit_rows(names, results))
+            continue
+        if results is None:  # a REML method
+            results = est.run_estimator(method, Y, design, perm, args.seed)
+        else:  # shuffle's or MoM's check failed
+            results = (results,) * len(names)
+        records.append([sio.estimate_row(n, method, e) for n, e in zip(names, results)])
+    rows = [row for per_series in zip(*records) for row in per_series]
 
     config_lines = [
         f"shufflevar {__version__} estimate",

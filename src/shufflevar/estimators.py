@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import permutations as perms
-from .design import DesignSchedule, _columns, check_replicated, mean_squares
+from .design import DesignSchedule, NoReplication, _columns, check_replicated, mean_squares
 from .design import ms_between, ms_within  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .permutations import PermutationSpec
 
@@ -110,6 +110,23 @@ class Contrasts(NamedTuple):
     mom_noise: Optional[np.ndarray]
 
 
+def _check(name: str, design: DesignSchedule, perm) -> Optional[float]:
+    """Raise what ``name`` raises on ``design`` and ``perm`` (see
+    :func:`contrast_pass`); shuffle's mixing coefficient, else None."""
+    if name == "shuffle":
+        a = perms.alpha(design, perm)
+        # alpha is 1.0 exactly when is_trivial's integer identity holds: the
+        # pair count over n^2 is then exactly m, else short of m by >= 1/n^2.
+        if a == 1.0:
+            raise TrivialPermutation(
+                f"permutation {perm.family!r} only relabels treatments (alpha=1)"
+            )
+        return a
+    if name == "mom":
+        check_replicated(design)
+    return None
+
+
 def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
     """Those of shuffle (under ``perm``) and MoM that ``names`` lists, on each
     column of ``Y`` (a series or a T x S matrix), from one
@@ -127,19 +144,9 @@ def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
     NoReplication
         For MoM, if every stimulus appears once.
     """
-    a = None
-    for name in names:
-        if name == "shuffle":
-            a = perms.alpha(design, perm)
-            # alpha is 1.0 exactly when is_trivial's integer identity holds: the
-            # pair count over n^2 is then exactly m, else short of m by >= 1/n^2.
-            if a == 1.0:
-                raise TrivialPermutation(
-                    f"permutation {perm.family!r} only relabels treatments (alpha=1)"
-                )
-        elif name == "mom":
-            check_replicated(design)
-    shuffle, mom = a is not None, "mom" in names
+    checked = {name: _check(name, design, perm) for name in names}
+    shuffle, mom = "shuffle" in checked, "mom" in checked
+    a = checked.get("shuffle")
     total, shuffled, within = mean_squares(
         Y, design, perm.mapping if shuffle else None, within=mom
     )
@@ -149,6 +156,51 @@ def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
         a,
         within / design.n if mom else None,
     )
+
+
+class Fits(NamedTuple):
+    """Shuffle's or MoM's fits of each series as arrays: the fields that
+    :func:`_finish` gives one series at a time, and its flags."""
+
+    method: str
+    alpha: Optional[float]
+    sigma2_A_raw: np.ndarray
+    sigma2_A: np.ndarray
+    noise_level: np.ndarray
+    total: np.ndarray
+    omega2: np.ndarray
+
+    def flags(self) -> list:
+        """Each series' flags, joined by ``;``."""
+        code = (self.sigma2_A_raw < 0.0) + 2 * ~(self.total > 0.0)
+        return [("", "clamped", "degenerate", "clamped;degenerate")[i] for i in code.tolist()]
+
+
+def contrast_fits(c: Contrasts, name: str) -> Fits:
+    """The fits of shuffle or MoM (``name``) from a contrast pass that ran it."""
+    raw = c.shuffle_raw if name == "shuffle" else c.total - c.mom_noise
+    clamped, omega2 = _clamp(raw, c.total)
+    alpha = c.alpha if name == "shuffle" else None
+    return Fits(name, alpha, raw, clamped, c.total - raw, c.total, omega2)
+
+
+def batch_fits(Y, design: DesignSchedule, perm, names) -> dict:
+    """The :class:`Fits` of each of shuffle and MoM that ``names`` lists, on
+    the columns of the T x S matrix ``Y``, from one contrast pass; an
+    estimator whose check fails maps to its ``TrivialPermutation`` or
+    ``NoReplication`` instead, and the other still runs."""
+    passed, out = [], {}
+    for name in dict.fromkeys(names):
+        if name in ("shuffle", "mom"):
+            try:
+                _check(name, design, perm)
+                passed.append(name)
+            except (TrivialPermutation, NoReplication) as exc:
+                out[name] = exc
+    if passed:
+        c = contrast_pass(Y, design, perm, passed)
+        out.update((name, contrast_fits(c, name)) for name in passed)
+    return out
 
 
 def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):

@@ -216,8 +216,8 @@ def _run_grid(
             c = est.contrast_pass(Y, design, perm, names)
         for name in names:
             if name in ("shuffle", "mom"):
-                raws = c.shuffle_raw if name == "shuffle" else c.total - c.mom_noise
-                omegas = est._clamp(raws, c.total)[1]
+                f = est.contrast_fits(c, name)
+                raws, omegas = f.sigma2_A_raw, f.omega2
             else:
                 fits = [
                     e

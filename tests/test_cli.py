@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 import shufflevar
 from shufflevar import build_design, mom_estimate, shuffle_estimate
-from shufflevar.cli import _sweep_config_from_ini, main
-from shufflevar.io import write_dataset
+from shufflevar.cli import _sweep_config_from_ini, build_parser, main
+from shufflevar.design import MissingBlocks, NoReplication
+from shufflevar.estimators import TrivialPermutation, run_estimator
+from shufflevar.io import estimate_row, parse_permutation, read_dataset, write_dataset, write_estimates
 from shufflevar.permutations import reverse_perm
 from shufflevar.sweeps import SweepConfig, read_sweep_table
 
@@ -42,7 +44,64 @@ def read_csv_rows(path):
     return header, [dict(zip(header, r)) for r in body]
 
 
+def per_series_records(path, permutation, methods, seed=0):
+    """The record lines ``estimate`` writes, built one series at a time:
+    ``estimate_row`` over ``run_estimator``, written by ``write_estimates``."""
+    design, names, Y = read_dataset(path)
+    perm = parse_permutation(permutation, design, seed=seed)
+    results = []
+    for method in methods:
+        try:
+            results.append(run_estimator(method, Y, design, perm, seed))
+        except (TrivialPermutation, NoReplication) as exc:
+            results.append((exc,) * len(names))
+    rows = [
+        estimate_row(name, method, e)
+        for name, per_method in zip(names, zip(*results))
+        for method, e in zip(methods, per_method)
+    ]
+    out = Path(path).with_name("oracle.csv")
+    write_estimates(out, rows)
+    return out.read_text()
+
+
+ESTIMATE_CASES = {
+    # (schedule, blocks, permutation, estimators)
+    "clamped-and-degenerate": (["a", "b", "c"] * 4, ["x"] * 6 + ["y"] * 6, "odd-even", "shuffle,mom"),
+    "identity": (["a", "b", "c"] * 4, ["x"] * 6 + ["y"] * 6, "identity", "shuffle,mom"),
+    "unreplicated": (["a", "b", "c", "d"], ["x"] * 4, "shift:1", "mom,shuffle"),
+    "mixed-order": (["a", "b", "c"] * 4, ["x"] * 6 + ["y"] * 6, "block-random", "shuffle,reml:iid,mom"),
+}
+
+# (method, flags) pairs each case must write: the row kinds it is there for.
+CASE_FLAGS = {
+    "clamped-and-degenerate": {("shuffle", ""), ("shuffle", "clamped"), ("shuffle", "degenerate"),
+                               ("mom", "clamped"), ("mom", "degenerate")},
+    "identity": {("shuffle", "TrivialPermutation"), ("mom", ""), ("mom", "degenerate")},
+    "unreplicated": {("mom", "NoReplication"), ("shuffle", "TrivialPermutation")},
+    "mixed-order": {("shuffle", "degenerate"), ("reml:iid", "degenerate"), ("mom", "degenerate")},
+}
+
+
 class TestEstimate:
+    @pytest.mark.parametrize("case", ESTIMATE_CASES)
+    def test_rows_equal_the_per_series_records(self, case, tmp_path):
+        # Shuffle and MoM rows come from arrays; they must be the bytes that
+        # one VarianceEstimate per series gives, flags and exceptions included.
+        schedule, blocks, permutation, estimators = ESTIMATE_CASES[case]
+        design = build_design(schedule, blocks)
+        Y = np.random.default_rng(5).standard_normal((design.T, 8))
+        Y[:, 3] = 2.5  # a constant series: degenerate
+        path, out = tmp_path / "d.csv", tmp_path / "est.csv"
+        write_dataset(path, design, [f"v{j}" for j in range(8)], Y)
+        argv = ["estimate", "-i", str(path), "--permutation", permutation,
+                "--estimators", estimators, "-o", str(out)]
+        assert main(argv) == 0
+        records = "".join(line for line in out.read_text().splitlines(True) if line[0] != "#")
+        assert records == per_series_records(path, permutation, estimators.split(","))
+        flags = {(row["method"], row["flags"]) for row in read_csv_rows(out)[1]}
+        assert CASE_FLAGS[case] <= flags, flags
+
     def test_matches_direct_api(self, dataset, tmp_path):
         path, design, (names, Y) = dataset
         out = tmp_path / "est.csv"
@@ -84,10 +143,11 @@ class TestEstimate:
         data = tmp_path / "d.csv"
         write_dataset(data, design, ["v0"], [[1.0], [2.0], [3.0], [4.0]])
         out = tmp_path / "est.csv"
-        rc = main(
-            ["estimate", "-i", str(data), "--permutation", "reverse",
-             "--estimators", "shuffle,mom", "-o", str(out)]
-        )
+        with pytest.warns(UserWarning, match="no block column"):
+            rc = main(
+                ["estimate", "-i", str(data), "--permutation", "reverse",
+                 "--estimators", "shuffle,mom", "-o", str(out)]
+            )
         assert rc == 0
         _, rows = read_csv_rows(out)
         shuffle_row = next(r for r in rows if r["method"] == "shuffle")
@@ -210,6 +270,25 @@ class TestAlpha:
         assert "sigma2_block=" in err and "sigma2_unit=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["input", "schedule"])
+    def test_block_noise_without_blocks_raises_missing_blocks(self, tmp_path, capsys, source):
+        # A file written from a design without blocks has no block column, so
+        # it reads back without blocks, as the same schedule given inline.
+        path = tmp_path / "d.csv"
+        write_dataset(path, build_design(SCHED), ["v0"], np.zeros((6, 1)))
+        argv = ["alpha", "--noise", "block:0.5,0.5", "-o", str(tmp_path / "out.txt")]
+        argv += ["-i", str(path)] if source == "input" else ["--schedule", ",".join(SCHED)]
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(MissingBlocks):
+                args.func(args)
+        no_block_column = pytest.warns(UserWarning, match="no block column")
+        with no_block_column if source == "input" else contextlib.nullcontext():
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: block covariance requires explicit block labels\n"
+        )
 
     @pytest.mark.parametrize("command", ["alpha", "diagnose"])
     def test_bad_noise_parameter_names_the_spec(self, tmp_path, capsys, command):

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -268,10 +269,12 @@ class TestRowErrorLine:
         if rows == "reversed":
             header, *body = p.read_text().splitlines(keepends=True)
             p.write_text("".join([header] + body[::-1]))
-        read_dataset(p)  # imports, caches
+        with pytest.warns(UserWarning, match="no block column"):
+            read_dataset(p)  # imports, caches
         tracemalloc.start()
         try:
-            _, _, Y2 = read_dataset(p)
+            with pytest.warns(UserWarning, match="no block column"):
+                _, _, Y2 = read_dataset(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,6 +358,20 @@ class TestWriteDataset:
         assert list(design2.block_labels) == list(design.block_labels)
         assert names2 == names
         assert np.array_equal(Y2, Y)  # 17 digits round-trips
+
+    @pytest.mark.parametrize("blocks", [["x", "x", "y", "y"], None], ids=["blocks", "no-blocks"])
+    def test_has_blocks_survives_a_round_trip(self, blocks, tmp_path):
+        design = build_design(["a", "b", "a", "b"], blocks)
+        p = tmp_path / "d.csv"
+        write_dataset(p, design, ["v"], np.zeros((4, 1)))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            design2, _, _ = read_dataset(p)
+        assert design2.has_blocks == design.has_blocks
+        assert [str(w.message) for w in seen] == (
+            [] if blocks else [f"{p}: no block column; assuming a single block"]
+        )
+        assert list(design2.block_labels) == list(design.block_labels)
 
 
 class TestParsePermutation:
@@ -516,8 +533,11 @@ SPELLINGS = {
     "nan": "nan",
     "inf": "inf",
     "true": "true",
+    "false": "false",
     "null": "null",
     "quoted": '"1.5"',
+    "quoted-int": '"1"',
+    "array": "[1]",
     "empty": "",
     "spaces-and-tabs": " \t1.5 \t",
 }
@@ -592,3 +612,120 @@ class TestAgainstLoadtxtParse:
             lines.append(",".join([t, stimulus, block, data.draw(value), data.draw(value)]))
         ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
         assert_parse_matches_loadtxt(ending.join(lines) + ending, newline="")
+
+
+def many_rows(T=12, S=3):
+    """The lines of a valid dataset of T rows and S series."""
+    rng = np.random.default_rng(4)
+    lines = ["t,stimulus,block," + ",".join(f"v{j}" for j in range(S))]
+    for t in range(T):
+        values = ",".join(repr(v) for v in rng.standard_normal(S).tolist())
+        lines.append(f"{t + 1},s{t % 3},b{t // 6},{values}")
+    return lines
+
+
+def outcomes_with_buffer(size, data):
+    """``read_outcome`` of ``read_dataset``, its buffer starting at ``size``
+    bytes, and of ``loadtxt_parse`` on a file of the bytes ``data``."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sio, "_BUFFER_BYTES", size):
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(data)
+        return read_outcome(read_dataset, path), read_outcome(loadtxt_parse, path)
+
+
+class TestSmallBuffers:
+    """The reader with a buffer of a few bytes, so that a small file spans
+    many of them, against the loadtxt oracle."""
+
+    @pytest.mark.parametrize("size", [1, 16, 64, 200])
+    def test_file_spanning_several_buffers(self, size):
+        data = ("\n".join(many_rows()) + "\n").encode()
+        assert len(data) > 4 * size
+        got, want = outcomes_with_buffer(size, data)
+        assert got == want and len(got) == 5  # a dataset, not an error
+
+    def test_line_longer_than_the_buffer(self):
+        lines = many_rows(S=40)
+        data = ("\n".join(lines) + "\n").encode()
+        assert min(map(len, lines)) > 10 * 16
+        got, want = outcomes_with_buffer(16, data)
+        assert got == want and got[3] == (12, 40)
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "short-last-row"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_break_at_every_buffer_boundary(self, ending, bad):
+        # Each size puts the first buffer's end at another byte of the file,
+        # a "\r\n" split across it among them; the short row's error must
+        # still name line 7, so a split "\r\n" is one line break, not two.
+        lines = many_rows(T=6)
+        if bad:
+            lines[-1] = lines[-1].rpartition(",")[0]
+        data = (ending.join(lines) + ending).encode()
+        for size in range(1, len(data) + 2):
+            got, want = outcomes_with_buffer(size, data)
+            assert got == want, size
+            assert got[1].endswith(":7: expected 6 fields, got 5") if bad else len(got) == 5, size
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "short-row"])
+    def test_lone_cr_in_a_later_buffer(self, bad):
+        lines = many_rows()
+        if bad:
+            lines[11] = lines[11].rpartition(",")[0]
+        data = ("\r\n".join(lines[:10]) + "\r\n" + "\r".join(lines[10:]) + "\r\n").encode()
+        for size in (16, 64):
+            got, want = outcomes_with_buffer(size, data)
+            assert got == want
+            assert (got[0] == "DatasetFormatError") == bad
+            assert not bad or got[1].endswith(":12: expected 6 fields, got 5")
+
+    def test_byte_not_utf8_in_a_later_buffer_after_a_row_error(self):
+        lines = many_rows()
+        lines[2] = "2,s1,b0,oops,1,2"
+        data = ("\n".join(lines) + "\n").encode() + b"# \x81\n"
+        for size in (16, 64):
+            got, want = outcomes_with_buffer(size, data)
+            assert got == want and got[1].endswith(": not utf-8 text: invalid start byte")
+
+    @pytest.mark.parametrize("last", ["", "\r", ",oops", ',"2.0'], ids=["plain", "cr", "fault", "open-quote"])
+    def test_last_line_without_newline(self, last):
+        # The last line's "]" goes into the byte after it, at any buffer size.
+        data = ("\n".join(many_rows(T=6)) + last).encode()
+        for size in range(1, len(data) + 2):
+            got, want = outcomes_with_buffer(size, data)
+            assert got == want, size
+            assert (len(got) == 5) == (last in ("", "\r")), size
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(csv_written_dataset(), mutated_dataset()), st.integers(1, 80))
+    def test_any_file_at_any_size(self, text, size):
+        got, want = outcomes_with_buffer(size, text.encode())
+        assert got == want
+
+
+class TestLinesReadByOrjson:
+    """Lines with UTF-8 labels or a lone ``\\r`` ending have their numbers
+    read in place, as plain lines do: ``np.loadtxt`` sees only their heads."""
+
+    @pytest.mark.parametrize(
+        "ending,label",
+        [("\n", "café"), ("\r\n", "μ"), ("\r", "s"), ("\r", "ß")],
+        ids=["lf-utf8", "crlf-utf8", "cr", "cr-utf8"],
+    )
+    def test_no_whole_line_goes_to_loadtxt(self, ending, label, tmp_path):
+        lines = many_rows()
+        lines[1:] = [line.replace(",s", f",{label}", 1) for line in lines[1:]]
+        path = tmp_path / "d.csv"
+        path.write_bytes((ending.join(lines) + ending).encode())
+        whole, loadtxt = [], sio._loadtxt
+
+        def spy(lines, dtype):
+            if "y" in (np.dtype(dtype).names or ()):
+                whole.append(len(lines))
+            return loadtxt(lines, dtype)
+
+        for size in (16, 64, 16384):
+            whole.clear()
+            with mock.patch.object(sio, "_loadtxt", spy), mock.patch.object(sio, "_BUFFER_BYTES", size):
+                got = read_outcome(read_dataset, path)
+            assert got == read_outcome(loadtxt_parse, path) and len(got) == 5
+            assert whole == [1], size  # only the closing line
