@@ -67,19 +67,8 @@ def cmd_estimate(args) -> int:
     design, names, Y = sio.read_dataset(args.input)
     perm = sio.parse_permutation(args.permutation, design, seed=args.seed)
 
-    # Shuffle and MoM share one contrast pass and are written from arrays.
-    shared = est.batch_fits(Y, design, perm, methods)
-    records = []  # per method, one output record per series
-    for method in methods:
-        results = shared.get(method)
-        if isinstance(results, est.Fits):
-            records.append(sio.fit_rows(names, results))
-            continue
-        if results is None:  # a REML method
-            results = est.run_estimator(method, Y, design, perm, args.seed)
-        else:  # shuffle's or MoM's check failed
-            results = (results,) * len(names)
-        records.append([sio.estimate_row(n, method, e) for n, e in zip(names, results)])
+    fits = est.run_estimators(methods, Y, design, perm, args.seed)
+    records = [sio.fit_rows(names, method, fits[method]) for method in methods]
     rows = [row for per_series in zip(*records) for row in per_series]
 
     config_lines = [

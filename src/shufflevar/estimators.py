@@ -11,6 +11,12 @@ Three routes to the signal variance:
   uncorrelated noise.
 - REML under a parametric noise family lives in :mod:`shufflevar.reml`.
 
+:func:`run_estimators` runs any of them by name on every column of a T x S
+matrix and gives each one's :class:`Fits`, arrays of one entry per series;
+the ``estimate`` command and the sweeps run their estimators through it.
+Shuffle and MoM share one :func:`contrast_pass`, and REML fits one column
+at a time.
+
 All estimators report both the raw (possibly negative) signal variance and
 its nonnegative clamp; the explainable-variance plug-in uses the clamp
 while the noise level uses the raw value so the decomposition stays exact.
@@ -29,7 +35,7 @@ from .design import DesignSchedule, NoReplication, _columns, check_replicated, m
 from .design import ms_between, ms_within  # noqa: F401  (unused; bench/spans.py wraps them here)
 from .permutations import PermutationSpec
 
-# Noise families REML can fit, and the names :func:`run_estimator` accepts.
+# Noise families REML can fit, and the names :func:`run_estimators` accepts.
 REML_FAMILIES = ("iid", "exp_nugget", "ar")
 ESTIMATOR_NAMES = ("shuffle", "mom", "reml") + tuple(f"reml:{f}" for f in REML_FAMILIES)
 
@@ -110,9 +116,24 @@ class Contrasts(NamedTuple):
     mom_noise: Optional[np.ndarray]
 
 
-def _check(name: str, design: DesignSchedule, perm) -> Optional[float]:
-    """Raise what ``name`` raises on ``design`` and ``perm`` (see
-    :func:`contrast_pass`); shuffle's mixing coefficient, else None."""
+def check_estimator(
+    name: str, design: Optional[DesignSchedule] = None, perm=None
+) -> Optional[float]:
+    """Raise ValueError unless ``name`` is one of :data:`ESTIMATOR_NAMES`;
+    given a design, also raise what the estimator raises on it and ``perm``.
+    Shuffle's mixing coefficient under ``perm``, else None.
+
+    Raises
+    ------
+    TrivialPermutation
+        For shuffle, if ``perm`` is trivial (:func:`~shufflevar.permutations.is_trivial`).
+    NoReplication
+        For MoM, if every stimulus appears once.
+    """
+    if name not in ESTIMATOR_NAMES:
+        raise ValueError(f"unknown estimator {name!r}")
+    if design is None:
+        return None
     if name == "shuffle":
         a = perms.alpha(design, perm)
         # alpha is 1.0 exactly when is_trivial's integer identity holds: the
@@ -128,23 +149,17 @@ def _check(name: str, design: DesignSchedule, perm) -> Optional[float]:
 
 
 def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
-    """Those of shuffle (under ``perm``) and MoM that ``names`` lists, on each
-    column of ``Y`` (a series or a T x S matrix), from one
-    :func:`~shufflevar.design.mean_squares` pass; other names are ignored.
+    """Those of shuffle (under ``perm``) and MoM that the estimator names
+    ``names`` list, on each column of ``Y`` (a series or a T x S matrix),
+    from one :func:`~shufflevar.design.mean_squares` pass.
 
     ``total`` is the between contrast, ``shuffle_raw`` the shuffle's raw
     signal variance ``(total - MS_bet(PY)) / (1 - alpha)`` and ``mom_noise``
     MoM's noise level ``MS_wit / n``, whose raw signal variance is ``total -
-    mom_noise``.  Each estimator's check runs in the order ``names`` gives.
-
-    Raises
-    ------
-    TrivialPermutation
-        For shuffle, if ``perm`` is trivial (:func:`~shufflevar.permutations.is_trivial`).
-    NoReplication
-        For MoM, if every stimulus appears once.
+    mom_noise``.  Each estimator's check (:func:`check_estimator`) runs in
+    the order ``names`` gives.
     """
-    checked = {name: _check(name, design, perm) for name in names}
+    checked = {name: check_estimator(name, design, perm) for name in names}
     shuffle, mom = "shuffle" in checked, "mom" in checked
     a = checked.get("shuffle")
     total, shuffled, within = mean_squares(
@@ -159,8 +174,10 @@ def contrast_pass(Y, design: DesignSchedule, perm, names) -> Contrasts:
 
 
 class Fits(NamedTuple):
-    """Shuffle's or MoM's fits of each series as arrays: the fields that
-    :func:`_finish` gives one series at a time, and its flags."""
+    """One estimator's fits of each series as arrays: the fields that a
+    :class:`VarianceEstimate` gives one series at a time, each series' flags
+    joined by ``;``, and ``usable``, True where a summary may use the fit
+    (False for a REML fit that failed or did not converge)."""
 
     method: str
     alpha: Optional[float]
@@ -169,38 +186,8 @@ class Fits(NamedTuple):
     noise_level: np.ndarray
     total: np.ndarray
     omega2: np.ndarray
-
-    def flags(self) -> list:
-        """Each series' flags, joined by ``;``."""
-        code = (self.sigma2_A_raw < 0.0) + 2 * ~(self.total > 0.0)
-        return [("", "clamped", "degenerate", "clamped;degenerate")[i] for i in code.tolist()]
-
-
-def contrast_fits(c: Contrasts, name: str) -> Fits:
-    """The fits of shuffle or MoM (``name``) from a contrast pass that ran it."""
-    raw = c.shuffle_raw if name == "shuffle" else c.total - c.mom_noise
-    clamped, omega2 = _clamp(raw, c.total)
-    alpha = c.alpha if name == "shuffle" else None
-    return Fits(name, alpha, raw, clamped, c.total - raw, c.total, omega2)
-
-
-def batch_fits(Y, design: DesignSchedule, perm, names) -> dict:
-    """The :class:`Fits` of each of shuffle and MoM that ``names`` lists, on
-    the columns of the T x S matrix ``Y``, from one contrast pass; an
-    estimator whose check fails maps to its ``TrivialPermutation`` or
-    ``NoReplication`` instead, and the other still runs."""
-    passed, out = [], {}
-    for name in dict.fromkeys(names):
-        if name in ("shuffle", "mom"):
-            try:
-                _check(name, design, perm)
-                passed.append(name)
-            except (TrivialPermutation, NoReplication) as exc:
-                out[name] = exc
-    if passed:
-        c = contrast_pass(Y, design, perm, passed)
-        out.update((name, contrast_fits(c, name)) for name in passed)
-    return out
+    flags: list
+    usable: np.ndarray
 
 
 def shuffle_estimate(y, design: DesignSchedule, perm: PermutationSpec):
@@ -238,41 +225,65 @@ def mom_estimate(y, design: DesignSchedule):
     return fits[0] if np.ndim(y) == 1 else tuple(fits)
 
 
-def check_estimator(name: str) -> None:
-    """Raise ValueError unless ``name`` is one of :data:`ESTIMATOR_NAMES`."""
-    if name not in ESTIMATOR_NAMES:
-        raise ValueError(f"unknown estimator {name!r}")
-
-
-def run_estimator(
-    name: str, Y, design: DesignSchedule, perm: PermutationSpec, seeds, **reml_options
-) -> tuple:
-    """Run the estimator called ``name`` (see :func:`check_estimator`) on
-    each column of the T x S matrix ``Y``: a tuple of S results.
-
-    Shuffle and MoM run once on the matrix.  REML fits column j with seed
-    ``seeds[j]`` (an int seeds every column) and ``reml_options``, where
-    ``reml:<family>`` overrides ``family``; a column with no finite start
-    holds its :class:`~shufflevar.reml.AllStartsFailed` instead.
-    """
-    check_estimator(name)
-    Y = _columns(Y, design)
-    if name == "shuffle":
-        return shuffle_estimate(Y, design, perm)
-    if name == "mom":
-        return mom_estimate(Y, design)
+def _reml_fits(name: str, Y: np.ndarray, design: DesignSchedule, seeds, options) -> Fits:
+    """REML's :class:`Fits` of the columns of ``Y`` (see :func:`run_estimators`)."""
     from . import reml  # at call time: reml imports this module
 
-    family = name.partition(":")[2]
-    if family:
-        reml_options["family"] = family
-    out = []
-    for y, seed in zip(Y.T, np.broadcast_to(seeds, Y.shape[1]).tolist()):
+    family = name.partition(":")[2] or "exp_nugget"
+    S = Y.shape[1]
+    values = np.full((5, S), np.nan)  # the value fields of Fits, by column
+    flags, usable = ["AllStartsFailed"] * S, np.zeros(S, dtype=bool)
+    for j, seed in enumerate(np.broadcast_to(seeds, S).tolist()):
         try:
-            out.append(reml.reml_estimate(y, design, seed=seed, **reml_options)[1])
-        except reml.AllStartsFailed as exc:
-            out.append(exc)
-    return tuple(out)
+            e = reml.reml_estimate(Y[:, j], design, family=family, seed=seed, **options)[1]
+        except reml.AllStartsFailed:
+            continue
+        values[:, j] = e.sigma2_A_raw, e.sigma2_A, e.noise_level, e.total, e.omega2
+        flags[j] = ";".join(e.flags)
+        usable[j] = "non_converged" not in e.flags
+    return Fits(f"reml:{family}", None, *values, flags, usable)
+
+
+def run_estimators(
+    names, Y, design: DesignSchedule, perm: PermutationSpec, seeds, **reml_options
+) -> dict:
+    """Run each estimator that ``names`` lists on every column of ``Y`` (a
+    series or a T x S matrix): its :class:`Fits`, by name.
+
+    Every name's check (:func:`check_estimator`) runs first, in the order
+    ``names`` gives.  An unknown name raises; an estimator whose check fails
+    maps to its ``TrivialPermutation`` or ``NoReplication`` instead, and the
+    others still run.  Shuffle and MoM share one :func:`contrast_pass`.
+    REML fits column j with seed ``seeds[j]`` (an int seeds every column)
+    and ``reml_options``, the keywords of
+    :func:`~shufflevar.reml.reml_estimate` but ``family``, which the name
+    gives (``reml:<family>``; plain ``reml`` fits exp_nugget).  A column
+    with no finite start gets nan values and the flag ``AllStartsFailed``.
+    """
+    Y = _columns(Y, design)
+    out, passed = {}, []
+    for name in dict.fromkeys(names):
+        try:
+            check_estimator(name, design, perm)
+            passed.append(name)
+        except (TrivialPermutation, NoReplication) as exc:
+            out[name] = exc
+    contrasts = [name for name in passed if name in ("shuffle", "mom")]
+    if contrasts:
+        c = contrast_pass(Y, design, perm, contrasts)
+    for name in passed:
+        if name not in contrasts:
+            out[name] = _reml_fits(name, Y, design, seeds, reml_options)
+            continue
+        raw = c.shuffle_raw if name == "shuffle" else c.total - c.mom_noise
+        clamped, omega2 = _clamp(raw, c.total)
+        code = (raw < 0.0) + 2 * ~(c.total > 0.0)
+        flags = [("", "clamped", "degenerate", "clamped;degenerate")[i] for i in code.tolist()]
+        out[name] = Fits(
+            name, c.alpha if name == "shuffle" else None, raw, clamped, c.total - raw,
+            c.total, omega2, flags, np.ones(len(raw), dtype=bool),
+        )
+    return out
 
 
 def consistency_diagnostic(Sigma: np.ndarray, m: int, n: int) -> float:

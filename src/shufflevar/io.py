@@ -431,24 +431,17 @@ def write_estimates(path, rows, config_lines: Sequence[str] = ()) -> None:
             writer.writerow(row)
 
 
-# The value columns of an output record, as fields of a VarianceEstimate or Fits.
+# The value columns of an output record, as fields of a Fits.
 _VALUE_FIELDS = ("sigma2_A_raw", "sigma2_A", "noise_level", "total", "omega2")
 
 
-def estimate_row(series_id: str, method: str, e) -> list:
-    """One output record: a VarianceEstimate flattened, or, for the
-    exception ``method`` raised, a nan record flagged with its kind."""
-    if isinstance(e, Exception):
-        return [series_id, method, "", "nan", "nan", "nan", "nan", "nan", type(e).__name__]
-    alpha = "" if e.alpha is None else _float17(e.alpha)
-    values = (_float17(getattr(e, name)) for name in _VALUE_FIELDS)
-    return [series_id, e.method, alpha, *values, ";".join(e.flags)]
-
-
-def fit_rows(names: Sequence[str], f) -> list:
-    """The output records of the series ``names`` from their
-    :class:`~shufflevar.estimators.Fits`, as :func:`estimate_row` gives them
-    one at a time."""
+def fit_rows(names: Sequence[str], method: str, f) -> list:
+    """The output records of the series ``names`` for the estimator
+    ``method``: from its :class:`~shufflevar.estimators.Fits`, or, for the
+    exception its check raised, one nan record per series flagged with the
+    exception's kind."""
+    if isinstance(f, Exception):
+        return [[name, method, "", *("nan",) * 5, type(f).__name__] for name in names]
     alpha = "" if f.alpha is None else _float17(f.alpha)
     values = zip(*(map(_float17, getattr(f, name).tolist()) for name in _VALUE_FIELDS))
-    return [[name, f.method, alpha, *v, flags] for name, v, flags in zip(names, values, f.flags())]
+    return [[name, f.method, alpha, *v, flags] for name, v, flags in zip(names, values, f.flags)]

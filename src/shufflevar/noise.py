@@ -428,7 +428,7 @@ def _ar_innovations(a: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray]:
 
 class _ArPrecision:
     """``ar``'s structured precision of order p for one T x k right-hand side
-    B, T > p, with :class:`_ExpNuggetPrecision`'s interface; p = 0 is
+    B, T >= p, with :class:`_ExpNuggetPrecision`'s interface; p = 0 is
     ``iid`` (Sigma = I: SU is B to the bit, and there are no derivatives).
 
     The density factors into the first p slots (their correlation R_p,

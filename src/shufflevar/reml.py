@@ -329,8 +329,9 @@ def reml_estimate(
     Raises
     ------
     ValueError
-        For an unknown family or AR order, ``n_starts`` or ``max_evals``
-        below 1, or an ``xatol`` that is not finite and positive.
+        For an unknown family or AR order, an AR order above T,
+        ``n_starts`` or ``max_evals`` below 1, or an ``xatol`` that is not
+        finite and positive.
     AllStartsFailed
         If no start yields a finite restricted likelihood.
     """
@@ -338,6 +339,8 @@ def reml_estimate(
         raise ValueError(f"unsupported REML family {family!r}")
     if family == "ar" and not 1 <= ar_order <= 3:
         raise ValueError(f"AR order must be in 1..3, got {ar_order}")
+    if family == "ar" and design.T < ar_order:
+        raise ValueError(f"AR order {ar_order} needs T >= {ar_order}, got T = {design.T}")
     if n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     if max_evals < 1:
@@ -348,7 +351,7 @@ def reml_estimate(
 
     vals = np.asarray(y, dtype=float)
     if vals.ndim != 1:
-        raise ValueError("REML fits one series; run_estimator fits each column")
+        raise ValueError("REML fits one series; run_estimators fits each column")
     problem = _RemlProblem(vals, design, family, ar_order)
     total = ms_between(vals, design)
     rng = np.random.default_rng(seed)

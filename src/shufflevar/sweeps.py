@@ -14,10 +14,10 @@ A grid point's substreams are seeded as a batch by
 C-ordered T x R matrix X, filled a block of replicates at a time.  The
 time-series noise is coloured in place by
 :meth:`~shufflevar.noise.CovarianceModel.color` in O(T R), with neither the
-T x T covariance nor its factor formed.  Shuffle and MoM share one
-:func:`~shufflevar.estimators.contrast_pass` over X and are summarised as
-arrays; REML runs through :func:`~shufflevar.estimators.run_estimator` and
-fits replicate r with seed r.  X is the only array of its size: the
+T x T covariance nor its factor formed.  Every estimator runs on X through
+one :func:`~shufflevar.estimators.run_estimators` call, whose arrays are
+summarised as they are: shuffle and MoM share one contrast pass over X, and
+REML fits replicate r with seed r.  X is the only array of its size: the
 contrasts work in blocks too, and a grid point's X is freed before the next
 is drawn, so a paper-scale sweep (m = 120, n = 15, R = 1000) peaks at about
 1.25 X under tracemalloc once warm.  The truth of either sweep comes from
@@ -34,7 +34,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -44,8 +44,8 @@ from .design import DesignSchedule, build_design, treatment_averages
 from .noise import CovarianceModel, _draw_experiments, make_truth, noise_level
 from .noise import substream, substreams
 from .noise import psd_cholesky  # noqa: F401  (unused; bench/spans.py wraps it here)
-from .permutations import PermutationSpec, alpha, block_random_perm, reverse_perm
-from .reml import AllStartsFailed
+from .permutations import PermutationSpec, block_random_perm, reverse_perm
+from .permutations import alpha  # noqa: F401  (unused; bench/spans.py wraps it here)
 
 DEFAULT_GRID = tuple(round(0.1 * i, 1) for i in range(10))
 
@@ -145,16 +145,14 @@ def make_random_schedule(m: int, n: int, rng) -> DesignSchedule:
 def _summarize(
     sigma2_A_true: float,
     estimator: str,
-    raws: Sequence[float],
-    omegas: Sequence[float],
+    raws: np.ndarray,
+    omegas: np.ndarray,
     omega2_true: float,
     n_fail: int,
     alpha_realized: float,
 ) -> SweepRow:
     """One row from the replicates that produced a usable fit; ``n_reps``
     is their count."""
-    raws = np.asarray(raws, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
     mean = float(raws.mean()) if raws.size else float("nan")
     sd = float(raws.std(ddof=1)) if raws.size > 1 else float("nan")
     if raws.size:
@@ -184,54 +182,45 @@ def _run_grid(
     model: CovarianceModel,
     sigma2_eps: float,
 ) -> SweepResult:
-    """Shared grid loop: each estimator runs once on a grid point's replicates.
+    """Shared grid loop: the estimators run once on a grid point's replicates.
 
-    Grid point ``gi``'s replicates are the columns of one T x R matrix from
-    :func:`~shufflevar.noise._draw_experiments`, replicate r drawn from its
-    substream (seed, 2, gi, r), with noise ``sigma2_eps`` times ``model``'s
-    covariance.  Shuffle and MoM share one
-    :func:`~shufflevar.estimators.contrast_pass` and are summarised as
-    arrays; REML runs through :func:`~shufflevar.estimators.run_estimator`.
-    A fit that fails or does not converge counts in ``n_fail`` and is left
-    out of the row's summary.
+    Every estimator's check (:func:`~shufflevar.estimators.check_estimator`)
+    runs first, so a trivial shuffle or MoM without repeats raises before
+    any draw or fit.  Grid point ``gi``'s replicates are the columns of one
+    T x R matrix from :func:`~shufflevar.noise._draw_experiments`, replicate
+    r drawn from its substream (seed, 2, gi, r), with noise ``sigma2_eps``
+    times ``model``'s covariance.  One
+    :func:`~shufflevar.estimators.run_estimators` call fits them all, REML
+    replicate r with seed r, and each estimator's row summarises its usable
+    fits as arrays: a fit that fails or does not converge counts in
+    ``n_fail`` and is left out of the summary.
     """
     names = tuple(cfg.estimators)
     for name in names:
-        est.check_estimator(name)
-    a = alpha(design, perm)
+        est.check_estimator(name, design, perm)
     level = noise_level(model, design, sigma2_eps)
     reml_options = dict(
         n_starts=cfg.reml_starts, max_evals=cfg.reml_max_evals, xatol=cfg.reml_xatol
     )
 
     R = cfg.replicates
-    shuffle, mom = "shuffle" in names, "mom" in names
     rows = []
     for gi, s2A in enumerate(cfg.sigma2_A_grid):
         Y = _draw_experiments(
             design, s2A, model, sigma2_eps, substreams(cfg.seed, 2, gi, count=R), R
         )
         truth = make_truth(s2A, level)
-        if shuffle or mom:
-            c = est.contrast_pass(Y, design, perm, names)
+        fits = est.run_estimators(names, Y, design, perm, range(R), **reml_options)
+        del Y  # so the next grid point's draw is the only matrix alive
         for name in names:
-            if name in ("shuffle", "mom"):
-                f = est.contrast_fits(c, name)
-                raws, omegas = f.sigma2_A_raw, f.omega2
-            else:
-                fits = [
-                    e
-                    for e in est.run_estimator(name, Y, design, perm, range(R), **reml_options)
-                    if not isinstance(e, AllStartsFailed) and "non_converged" not in e.flags
-                ]
-                raws, omegas = [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits]
+            f = fits[name]
+            raws = f.sigma2_A_raw[f.usable]
             rows.append(
                 _summarize(
-                    s2A, name, raws, omegas, truth.omega2, R - len(raws),
-                    a if name.startswith("shuffle") else float("nan"),
+                    s2A, name, raws, f.omega2[f.usable], truth.omega2, R - len(raws),
+                    float("nan") if f.alpha is None else f.alpha,
                 )
             )
-        del Y  # so the next grid point's draw is the only matrix alive
     return SweepResult(rows=tuple(rows), config=cfg)
 
 

@@ -1,12 +1,17 @@
-"""Dense T x T oracles for the structured paths of ``shufflevar``.
+"""Dense T x T oracles for the structured paths of ``shufflevar``, and a
+per-series oracle for its batch paths.
 
-They form the averaging matrices and the covariance (with
+The dense oracles form the averaging matrices and the covariance (with
 :meth:`CovarianceModel.materialize`) and take traces of their blocks, so
-they cost O(T^2) memory; tests keep T small.
+they cost O(T^2) memory; tests keep T small.  The per-series oracle runs
+``shuffle_estimate``, ``mom_estimate`` and ``reml_estimate`` on one series
+at a time, and flattens each estimate into the record ``estimate`` writes.
 """
 
 import numpy as np
 
+from shufflevar import reml
+from shufflevar.estimators import mom_estimate, shuffle_estimate
 from shufflevar.noise import _toeplitz
 
 
@@ -65,3 +70,40 @@ def dense_gap(model, design, perm) -> float:
     return contrast_trace(shuffled_covariance(model, design, perm), design) - contrast_trace(
         model.materialize(design), design
     )
+
+
+def written_method(name) -> str:
+    """The method an estimator name writes: plain ``reml`` fits exp_nugget."""
+    return "reml:exp_nugget" if name == "reml" else name
+
+
+def per_series_estimates(name, Y, design, perm, seeds=0, **reml_options) -> tuple:
+    """One VarianceEstimate per column of the T x S matrix ``Y``, each from
+    the estimator ``name`` run on that column alone.  REML fits column j with
+    seed ``seeds[j]`` (an int seeds every column), looking
+    ``reml_estimate`` up at call time; a column with no finite start holds
+    its ``AllStartsFailed``.  A failed check raises."""
+    columns = np.asarray(Y, dtype=float).reshape(design.T, -1).T
+    if name == "shuffle":
+        return tuple(shuffle_estimate(y, design, perm) for y in columns)
+    if name == "mom":
+        return tuple(mom_estimate(y, design) for y in columns)
+    family = written_method(name).partition(":")[2]
+    out = []
+    for y, seed in zip(columns, np.broadcast_to(seeds, len(columns)).tolist()):
+        try:
+            out.append(reml.reml_estimate(y, design, family=family, seed=seed, **reml_options)[1])
+        except reml.AllStartsFailed as exc:
+            out.append(exc)
+    return tuple(out)
+
+
+def estimate_record(series_id, method, e) -> list:
+    """The record ``estimate`` writes for a VarianceEstimate ``e``, or, for
+    an exception the estimator ``method`` raised, a nan record flagged with
+    its kind."""
+    if isinstance(e, Exception):
+        return [series_id, method, "", "nan", "nan", "nan", "nan", "nan", type(e).__name__]
+    values = (e.sigma2_A_raw, e.sigma2_A, e.noise_level, e.total, e.omega2)
+    alpha = "" if e.alpha is None else f"{e.alpha:.17g}"
+    return [series_id, e.method, alpha, *(f"{v:.17g}" for v in values), ";".join(e.flags)]

@@ -18,10 +18,12 @@ import shufflevar
 from shufflevar import build_design, mom_estimate, shuffle_estimate
 from shufflevar.cli import _sweep_config_from_ini, build_parser, main
 from shufflevar.design import MissingBlocks, NoReplication
-from shufflevar.estimators import TrivialPermutation, run_estimator
-from shufflevar.io import estimate_row, parse_permutation, read_dataset, write_dataset, write_estimates
+from shufflevar.estimators import ESTIMATOR_NAMES, TrivialPermutation
+from shufflevar.io import parse_permutation, read_dataset, write_dataset, write_estimates
 from shufflevar.permutations import reverse_perm
 from shufflevar.sweeps import SweepConfig, read_sweep_table
+
+from dense_oracles import estimate_record, per_series_estimates, written_method
 
 SCHED = ["a", "a", "b", "b", "a", "b"]
 GOLDEN_DATASET = Path(__file__).parent / "data" / "golden_dataset.csv"
@@ -46,17 +48,18 @@ def read_csv_rows(path):
 
 def per_series_records(path, permutation, methods, seed=0):
     """The record lines ``estimate`` writes, built one series at a time:
-    ``estimate_row`` over ``run_estimator``, written by ``write_estimates``."""
+    ``estimate_record`` over ``per_series_estimates``, written by
+    ``write_estimates``."""
     design, names, Y = read_dataset(path)
     perm = parse_permutation(permutation, design, seed=seed)
     results = []
     for method in methods:
         try:
-            results.append(run_estimator(method, Y, design, perm, seed))
+            results.append(per_series_estimates(method, Y, design, perm, seed))
         except (TrivialPermutation, NoReplication) as exc:
             results.append((exc,) * len(names))
     rows = [
-        estimate_row(name, method, e)
+        estimate_record(name, written_method(method), e)
         for name, per_method in zip(names, zip(*results))
         for method, e in zip(methods, per_method)
     ]
@@ -155,6 +158,42 @@ class TestEstimate:
         assert shuffle_row["sigma2_A_raw"] == "nan"
         mom_row = next(r for r in rows if r["method"] == "mom")
         assert float(mom_row["sigma2_A_raw"]) == pytest.approx(1.75)
+
+    def test_plain_reml_rows_spell_one_method(self, tmp_path, monkeypatch):
+        # A series with no finite REML start is one nan row in its place,
+        # spelled as its fitted neighbours are.
+        import shufflevar.reml as reml
+
+        design = build_design(SCHED, ["x"] * 3 + ["y"] * 3)
+        Y = np.random.default_rng(1).standard_normal((6, 3))
+        path, out = tmp_path / "d.csv", tmp_path / "est.csv"
+        write_dataset(path, design, ["v0", "v1", "v2"], Y)
+        fit = reml.reml_estimate
+
+        def fail_on_v1(y, design, **options):
+            if y[0] == Y[0, 1]:
+                raise reml.AllStartsFailed("no finite start")
+            return fit(y, design, **options)
+
+        monkeypatch.setattr(reml, "reml_estimate", fail_on_v1)
+        assert main(["estimate", "-i", str(path), "--estimators", "reml", "-o", str(out)]) == 0
+        _, rows = read_csv_rows(out)
+        assert [(r["series_id"], r["method"]) for r in rows] == [
+            ("v0", "reml:exp_nugget"), ("v1", "reml:exp_nugget"), ("v2", "reml:exp_nugget")
+        ]
+        assert rows[1]["flags"] == "AllStartsFailed"
+        values = ("sigma2_A_raw", "sigma2_A", "noise_level", "ms_between", "omega2")
+        assert {rows[1][c] for c in values} == {"nan"}
+        assert all(r["sigma2_A_raw"] != "nan" for r in (rows[0], rows[2]))
+
+    def test_ar_order_above_T_exits_1_naming_both(self, tmp_path, capsys):
+        path, out = tmp_path / "d.csv", tmp_path / "est.csv"
+        write_dataset(path, build_design(["a", "b"]), ["v0"], [[0.5], [1.5]])
+        with pytest.warns(UserWarning, match="no block column"):
+            rc = main(["estimate", "-i", str(path), "--estimators", "reml:ar", "-o", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: AR order 3 needs T >= 3, got T = 2\n"
+        assert not out.exists()
 
     def test_threads_identical_output(self, dataset, tmp_path):
         path, _, _ = dataset
@@ -558,6 +597,33 @@ def noise_spec(draw):
     return f"{family}:{','.join(params)}"
 
 
+# --estimators items: every name, unknown names, and empty or padded items.
+ESTIMATOR_ITEMS = ESTIMATOR_NAMES + ("bogus", "reml:", "Shuffle", "", " ", " mom ")
+
+
+@st.composite
+def permutation_spec(draw):
+    """A ``--permutation`` value: a valid one, ``shift:K`` with any K, a
+    ``file:`` spec that fails, or any word.  ``file:@`` names a valid file."""
+    return draw(st.one_of(
+        st.sampled_from(["identity", "reverse", "block-random", "odd-even", "file:@"]),
+        st.sampled_from(["file:", "file:missing.txt", "shift:", "shift:x", "Reverse"]),
+        (st.integers(-8, 8) | st.integers()).map(lambda k: f"shift:{k}"),
+        st.text(max_size=8),
+    ))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """Two series on the blocked six-slot schedule, and a reversal file for it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path, perm = tmp / "d.csv", tmp / "perm.txt"
+    Y = np.random.default_rng(2).standard_normal((6, 2))
+    write_dataset(path, build_design(SCHED, ["x"] * 3 + ["y"] * 3), ["v0", "v1"], Y)
+    perm.write_text("6\n5\n4\n3\n2\n1\n")
+    return path, perm
+
+
 class TestFuzzFailureContract:
     """Every run ends in exit 0, or exit 1 with ``error:`` on stderr; no
     traceback escapes ``main``."""
@@ -597,6 +663,35 @@ class TestFuzzFailureContract:
                 assert rc == 0 or (rc == 1 and err.startswith("error: ")), (command, rc, err)
                 # a report that exits 0 holds only finite numbers
                 assert "nan" not in text and "inf" not in text, (command, text)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        items=st.lists(
+            st.sampled_from(ESTIMATOR_NAMES) | st.sampled_from(ESTIMATOR_ITEMS), max_size=4
+        ),
+        spec=permutation_spec(),
+    )
+    def test_estimate_flags(self, fuzz_dataset, items, spec):
+        path, perm = fuzz_dataset
+        if spec == "file:@":
+            spec = f"file:{perm}"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "est.csv"
+            rc, err = _run_main(["estimate", "-i", str(path), f"--estimators={','.join(items)}",
+                                 f"--permutation={spec}", "-o", str(out)])
+            rows = read_csv_rows(out)[1] if rc == 0 else []
+        names = [item.strip() for item in items if item.strip()]
+        if rc == 0:
+            # S x (names listed) rows, series by series; a repeated name as often as listed
+            assert err == "" and all(name in ESTIMATOR_NAMES for name in names)
+            assert [(r["series_id"], r["method"]) for r in rows] == [
+                (series, written_method(name)) for series in ("v0", "v1") for name in names
+            ]
+        else:
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1, (rc, err)
+            assert err.endswith("\n") and "Traceback" not in err
+        assert rc == 1 or names
 
 
 class TestParser:

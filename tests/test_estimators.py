@@ -14,12 +14,13 @@ from shufflevar import (
     sample_experiment,
     shuffle_estimate,
 )
-from shufflevar.estimators import run_estimator
+from shufflevar.estimators import run_estimators
+from shufflevar.io import fit_rows
 from shufflevar.noise import substream
 from shufflevar.permutations import block_random_perm
 from shufflevar.sweeps import make_random_schedule
 
-from dense_oracles import covariance
+from dense_oracles import covariance, estimate_record, per_series_estimates
 
 # Reversal is non-trivial here (alpha = 1/9) and the numbers stay rational.
 SCHED6 = ["a", "a", "b", "b", "a", "b"]
@@ -150,18 +151,25 @@ class TestSeriesMatrix:
             assert isinstance(out, tuple) and len(out) == 5
             assert out == tuple(estimate(y, self.d, *args) for y in self.Y.T)
 
-    def test_run_estimator_seeds_each_reml_column(self):
-        from shufflevar.reml import reml_estimate
+    def records(self, name, estimates, columns):
+        """The per-series oracle's records of ``columns``."""
+        return [estimate_record(f"v{j}", name, estimates[j]) for j in columns]
 
-        out = run_estimator("reml:iid", self.Y[:, :2], self.d, None, [3, 8], n_starts=2)
-        assert out == tuple(
-            reml_estimate(self.Y[:, j], self.d, "iid", n_starts=2, seed=s)[1]
+    def test_run_estimators_seeds_each_reml_column(self):
+        # Column j is the fit reml_estimate gives it alone with seed seeds[j].
+        fits = run_estimators(["reml:iid"], self.Y[:, :2], self.d, None, [3, 8], n_starts=2)
+        f = fits["reml:iid"]
+        want = [
+            per_series_estimates("reml:iid", self.Y[:, j], self.d, None, s, n_starts=2)[0]
             for j, s in ((0, 3), (1, 8))
-        )
+        ]
+        assert fit_rows(["v0", "v1"], "reml:iid", f) == self.records("reml:iid", want, (0, 1))
+        assert f.alpha is None and f.usable.tolist() == [True, True]
 
-    def test_run_estimator_keeps_a_failed_column(self, monkeypatch):
+    def test_run_estimators_keeps_a_failed_column(self, monkeypatch):
         import shufflevar.reml as reml
 
+        want = per_series_estimates("reml:iid", self.Y[:, :3], self.d, None, n_starts=1)
         fit = reml.reml_estimate
 
         def fail_on_second(y, design, **options):
@@ -170,9 +178,32 @@ class TestSeriesMatrix:
             return fit(y, design, **options)
 
         monkeypatch.setattr(reml, "reml_estimate", fail_on_second)
-        out = run_estimator("reml:iid", self.Y[:, :3], self.d, None, 0, n_starts=1)
-        assert isinstance(out[1], reml.AllStartsFailed)
-        assert out[0].method == out[2].method == "reml:iid"
+        f = run_estimators(["reml:iid"], self.Y[:, :3], self.d, None, 0, n_starts=1)["reml:iid"]
+        assert f.method == "reml:iid"
+        assert f.flags[1] == "AllStartsFailed" and f.usable.tolist() == [True, False, True]
+        values = (f.sigma2_A_raw, f.sigma2_A, f.noise_level, f.total, f.omega2)
+        assert np.isnan([v[1] for v in values]).all()
+        rows = fit_rows(["v0", "v1", "v2"], "reml:iid", f)
+        assert [rows[0], rows[2]] == self.records("reml:iid", want, (0, 2))
+
+    def test_run_estimators_leaves_non_converged_fits_unused(self):
+        # One evaluation per start: every fit stops on its budget.
+        fits = run_estimators(["reml"], self.Y[:, :2], self.d, None, 0, n_starts=1, max_evals=1)
+        f = fits["reml"]
+        assert f.method == "reml:exp_nugget"
+        assert all("non_converged" in flags.split(";") for flags in f.flags)
+        assert not f.usable.any() and np.isfinite(f.sigma2_A_raw).all()
+
+    def test_run_estimators_maps_a_failed_check_and_runs_the_rest(self):
+        identity = identity_perm(self.d.T)  # shuffle's check fails
+        fits = run_estimators(["shuffle", "mom", "shuffle"], self.Y, self.d, identity, 0)
+        assert list(fits) == ["shuffle", "mom"]
+        assert isinstance(fits["shuffle"], TrivialPermutation)
+        names = [f"v{j}" for j in range(5)]
+        want = self.records("mom", mom_estimate(self.Y, self.d), range(5))
+        assert fit_rows(names, "mom", fits["mom"]) == want
+        with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+            run_estimators(["mom", "bogus"], self.Y, self.d, identity, 0)
 
 
 class TestConsistencyDiagnostic:

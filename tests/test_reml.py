@@ -97,11 +97,16 @@ class TestStructuredObjective:
             yield np.array(x)
 
     @pytest.mark.parametrize(
-        "family, order",
-        [("iid", 1), ("exp_nugget", 1), ("ar", 1), ("ar", 2), ("ar", 3)],
+        "family, order, short",
+        [("iid", 1, False), ("exp_nugget", 1, False), ("ar", 1, False), ("ar", 2, False),
+         ("ar", 3, False), ("ar", 3, True)],
+        ids=["iid-1", "exp_nugget-1", "ar-1", "ar-2", "ar-3", "ar-3-T=3"],
     )
-    def test_matches_dense(self, data, family, order):
+    def test_matches_dense(self, data, family, order, short):
         d, y = data
+        if short:  # T = p: R_p alone, no innovation rows
+            d = build_design([f"s{i}" for i in range(order)])
+            y = np.random.default_rng(order).standard_normal(order)
         problem = _RemlProblem(y, d, family, order)
         rng = np.random.default_rng(order)
         n_inf = 0
@@ -365,6 +370,13 @@ class TestArFamily:
     def test_invalid_order(self, small_design):
         with pytest.raises(ValueError):
             reml_estimate(np.zeros(small_design.T), small_design, family="ar", ar_order=4)
+
+    def test_order_above_T_rejected(self):
+        d, y = build_design(["a", "b"]), np.array([0.5, 1.5])
+        with pytest.raises(ValueError, match="AR order 3 needs T >= 3, got T = 2"):
+            reml_estimate(y, d, family="ar", ar_order=3)
+        fit, _ = reml_estimate(y, d, family="ar", ar_order=2)  # T = p fits
+        assert fit.family == "ar" and len(fit.theta) == 2
 
 
 class TestGuards:

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shufflevar import sweeps
-from shufflevar.estimators import run_estimator
+from shufflevar import NoReplication, TrivialPermutation, sweeps
 from shufflevar.noise import CovarianceModel, psd_cholesky, sample_experiment, substream
-from shufflevar.permutations import block_random_perm, reverse_perm
+from shufflevar.permutations import alpha, block_random_perm, reverse_perm
 from shufflevar.sweeps import (
     PredictionConfig,
     SweepConfig,
@@ -21,7 +20,7 @@ from shufflevar.sweeps import (
     run_timeseries_sweep,
 )
 
-from dense_oracles import dense_noise_level
+from dense_oracles import dense_noise_level, per_series_estimates
 
 SMALL_BLOCK = SweepConfig(
     m=8, n=3, n_blocks=2, sigma2_A_grid=(0.0, 0.4), replicates=30, seed=5
@@ -40,7 +39,7 @@ def per_replicate_summaries(cfg, design, perm, draw):
             draw(substream(cfg.seed, 2, gi, r), s2A) for r in range(cfg.replicates)
         ]
         for name in cfg.estimators:
-            fits = [run_estimator(name, y, design, perm, 0)[0] for y in series]
+            fits = [per_series_estimates(name, y, design, perm)[0] for y in series]
             raws = np.array([e.sigma2_A_raw for e in fits])
             q25, q75 = np.quantile(raws, [0.25, 0.75])
             out.append(
@@ -279,9 +278,9 @@ def test_replicates_are_sample_experiment_draws(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["timeseries", "block"])
-def test_contrast_rows_are_run_estimator_rows(kind, monkeypatch):
+def test_contrast_rows_are_per_series_rows(kind, monkeypatch):
     # Shuffle and MoM are summarised from one contrast pass as arrays; each
-    # row has the repr of the row summarised from run_estimator's
+    # row has the repr of the row summarised from the per-series oracle's
     # VarianceEstimate objects on the same drawn matrix.
     base = SMALL_BLOCK if kind == "block" else SMALL_TS
     cfg = replace(base, estimators=("shuffle", "mom"), replicates=70)
@@ -303,14 +302,36 @@ def test_contrast_rows_are_run_estimator_rows(kind, monkeypatch):
             perm = reverse_perm(design.T)
         for name in cfg.estimators:
             got = next(rows)
-            fits = run_estimator(name, Y, design, perm, range(cfg.replicates))
+            fits = per_series_estimates(name, Y, design, perm)
             want = sweeps._summarize(
-                s2A, name, [e.sigma2_A_raw for e in fits], [e.omega2 for e in fits],
+                s2A, name, np.array([e.sigma2_A_raw for e in fits]),
+                np.array([e.omega2 for e in fits]),
                 got.omega2_true, cfg.replicates - len(fits),
-                sweeps.alpha(design, perm) if name == "shuffle" else float("nan"),
+                alpha(design, perm) if name == "shuffle" else float("nan"),
             )
             assert repr(got) == repr(want)
     assert next(rows, None) is None
+
+
+@pytest.mark.parametrize(
+    "estimators, error",
+    [(("reml", "mom"), NoReplication), (("shuffle", "mom"), TrivialPermutation)],
+)
+def test_a_failed_check_raises_before_any_reml_fit(estimators, error, monkeypatch):
+    # At n = 1 MoM has no repeats and every shuffle only relabels.
+    from shufflevar import reml
+
+    calls = []
+    fit = reml.reml_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(reml, "reml_estimate", counted)
+    with pytest.raises(error):
+        run_timeseries_sweep(replace(SMALL_TS, n=1, estimators=estimators))
+    assert calls == []
 
 
 def test_prediction_noise_is_sample_experiment_draws(monkeypatch):
